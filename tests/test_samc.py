@@ -1,5 +1,6 @@
 """Adaptive reweighting operations and the finite-state run engines."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from samcmc import (
     DiscreteNeighbor,
+    FiniteChainSpec,
     FiniteStates,
     GainSchedule,
     RunTrace,
@@ -24,6 +26,7 @@ from samcmc import (
     truncation_decide,
     visit_freq,
 )
+from test_samle import trace_digest
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
 
@@ -377,3 +380,153 @@ def test_averaged_error_shrinks_with_run_length(model):
         err_full = np.linalg.norm(trace.running_sum / k_max - THETA_STAR)
         improved += err_full < err_early
     assert improved >= 9
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the lockstep engine
+# ---------------------------------------------------------------------------
+
+# sha256 of samc_digest per seed; computed from the lockstep engine as it
+# stood before its per-step cost was cut, and kept since
+GOLDEN_CHAIN10 = {
+    0: "e065971283832e48d19b29f1b20d404da2754d45a9a831582b7ed2452b7dabfc",
+    1: "3f84e7528713fe1272373decfe7486d72c602de87ae866b6d0c29b2df6b14e82",
+    2: "a1e7835b382aa4809d0a141a280e61fd6e3cd06c6c498a607d895165836c321f",
+}
+GOLDEN_CHAIN10_TIGHT = {
+    3: "635366824ff045d7b941343adb19556ab2922dcdc34f2b6ab4d0eb0549071901",
+    4: "6446990014f193513b4bd141cbc4ae03bcab08329a2486e9768e456694338e2c",
+    5: "c99739ac8ab3286c79d77268be417773525f59930f7190020fff9e0e743d7ea3",
+}
+GOLDEN_SOLO = (
+    "8c58aa10f388085310d312445148af25294fd7b03f38349210746132003ef4a6")
+GOLDEN_RANDOM_CHAIN = {
+    21: "8090d82a8f6736bead61969aa9b7ab24b7d73231453cbb94abe0fe8f44dc7888",
+    22: "2cf2319d44b1235675adbcd5f6b979ec30854d6d35e1c4690d69dcf619631da4",
+    23: "de723062b217ee3e39ae0a57a52c9fe448b97069b4c3afd8398e0a36d92a8de2",
+}
+GOLDEN_M1 = {
+    8: "980f632974bd28c863bdeb4862357a73c2e60313da964e0fa6b293c69dad8811",
+    9: "7201d96fccfacd82f6df0ef5a11215b8ec5fdab538de8dfd1f476b5890c6b63d",
+}
+GOLDEN_MOVE_BINDS = {
+    31: "48d480d1f24af71ff334f7afacf57527172c951d395e92eb6fbac79a5ec9856d",
+    32: "872b2b8d4522520db4b94c8b1ff71400a42541c6f7c47a33e3f790645c585ec1",
+}
+
+
+def samc_digest(trace):
+    """trace_digest extended with visit counts, snapshot pi-hat and iterates."""
+    h = hashlib.sha256(trace_digest(trace).encode())
+    h.update(np.asarray(trace.visit_counts, dtype="<i8").tobytes())
+    for snap in trace.snapshots:
+        h.update(np.asarray([snap.k, snap.sigma], dtype="<i8").tobytes())
+        for arr in (snap.theta, snap.pi_hat):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    if trace.thetas is not None:
+        h.update(np.ascontiguousarray(trace.thetas, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def digests(traces):
+    return {t.seed: samc_digest(t) for t in traces}
+
+
+def random_chain(seed=2024, n=60, m=8):
+    """A seeded chain: rough density, non-uniform pi, lopsided proposal.
+
+    The proposal support is symmetric (a ring plus random pairs), so every
+    move can be reversed, but the weights on it are not.
+    """
+    rng = np.random.default_rng(seed)
+    log_psi = 2.0 * rng.standard_normal(n)
+    labels = np.concatenate([np.arange(1, m + 1), rng.integers(1, m + 1, n - m)])
+    pi = rng.random(m) + 0.5
+    pi /= pi.sum()
+    support = rng.random((n, n)) < 0.1
+    ring = np.arange(n)
+    support[ring, (ring + 1) % n] = True
+    support |= support.T
+    weights = rng.random((n, n)) * support
+    proposal = weights / weights.sum(axis=1, keepdims=True)
+    return FiniteChainSpec(n_states=n, log_psi=log_psi, labels=labels,
+                           proposal=proposal, pi=pi)
+
+
+def test_batch_engine_golden_digests(model):
+    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    traces = run_samc_batch(model, GainSchedule(), ladder, 20_000, [0, 1, 2])
+    assert digests(traces) == GOLDEN_CHAIN10
+
+
+def test_batch_engine_golden_digests_tight_ladder(model):
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0)
+    traces = run_samc_batch(model, GainSchedule(), ladder, 20_000, [3, 4, 5])
+    assert all(t.sigma_events for t in traces)
+    assert digests(traces) == GOLDEN_CHAIN10_TIGHT
+
+
+def test_solo_run_golden_digest(model):
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.4, reinit_state=0)
+    trace = run_samc(model, GainSchedule(), ladder, 20_000, seed=11)
+    assert trace.thetas.shape == (20_000, 2)
+    assert samc_digest(trace) == GOLDEN_SOLO
+
+
+def test_random_chain_golden_digests_and_solo_runs():
+    chain = random_chain()
+    model = SamcModel.from_chain(chain)
+    assert not np.allclose(chain.proposal, chain.proposal.T)
+    schedule = GainSchedule()
+    k_max, seeds = 12_000, [21, 22, 23]
+
+    def ladder():
+        # a tight, slowly growing ladder truncates each chain at its own
+        # iterations, one of them past the first block of draws
+        return TruncationLadder(center=np.zeros(chain.m - 1), r0=2.0,
+                                growth=1.1, reinit_state=5)
+
+    batch = run_samc_batch(model, schedule, ladder(), k_max, seeds,
+                           snapshot_stride=700, store_thetas=True)
+    assert [t.sigma_events for t in batch] == [
+        [8, 508], [6, 53, 10697], [5, 145, 8980]]
+    assert digests(batch) == GOLDEN_RANDOM_CHAIN
+    for seed, member in zip(seeds, batch):
+        solo = run_samc(model, schedule, ladder(), k_max, seed,
+                        snapshot_stride=700)
+        assert samc_digest(solo) == samc_digest(member)
+
+
+def test_m1_chain_golden_digests(chain):
+    model = SamcModel(
+        log_psi=lambda x: float(chain.log_psi[x]),
+        classify=lambda x: 1,
+        m=1,
+        pi=np.array([1.0]),
+        space=FiniteStates(chain.n_states, chain.proposal),
+    )
+    ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
+    traces = run_samc_batch(model, GainSchedule(), ladder, 10_000, [8, 9],
+                            store_thetas=True)
+    assert digests(traces) == GOLDEN_M1
+
+
+def test_move_threshold_binds_now_and_then(chain):
+    # pi puts 2 % on subregion 1, whose update row is the longest (norm
+    # about 1.10 against about 0.51). b_k/a_k = 0.8 k^0.034 lies between
+    # the two until k is about 1e4, so visits to subregion 1 truncate on
+    # the move test there; past that the threshold cannot bind
+    model = SamcModel(
+        log_psi=lambda x: float(chain.log_psi[x]),
+        classify=lambda x: int(chain.labels[x]),
+        m=3,
+        pi=np.array([0.02, 0.49, 0.49]),
+        space=FiniteStates(chain.n_states, chain.proposal),
+    )
+    schedule = GainSchedule(c1=1.0, eta=0.7, c2=0.8, xi=0.6658)
+    ladder = TruncationLadder(center=np.zeros(2), r0=1e6, reinit_state=9)
+    traces = run_samc_batch(model, schedule, ladder, 20_000, [31, 32])
+    for t in traces:
+        assert 0 < len(t.sigma_events) < 1000
+        assert t.sigma_events[-1] < 16_384
+    assert digests(traces) == GOLDEN_MOVE_BINDS
