@@ -36,6 +36,11 @@ from .sa import (
 # transient memory without changing any draw (the chunking is part of the
 # draw-order contract, see _run_finite_batch)
 CHUNK = 8192
+# steps folded into the compensated running sum at a time: at most
+# FOLD_ROWS steps and FOLD_CELLS extended theta entries, so the fold
+# buffers stay small at large batch sizes
+FOLD_ROWS = 64
+FOLD_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -299,6 +304,42 @@ def _run_samc_generic(model: SamcModel, schedule: GainSchedule,
         final_theta=theta.theta.copy(), final_sigma=ladder.sigma, final_state=x)
 
 
+def _move_may_bind(gains: np.ndarray, thresholds: np.ndarray,
+                   row_norm: float, m: int, theta_max: float) -> bool:
+    """False when no step of a block can fail the move threshold b_k.
+
+    Step k moves theta by a_k times one label's update row, so its realized
+    norm is at most a_k * row_norm, widened for the rounding of the half
+    step, of the difference and of the norm. That rounding scales with
+    |theta|, which stays below the block's starting and reset entries plus
+    the block's summed gains (update entries are below 1), doubled. NaN or
+    inf anywhere makes the test run.
+    """
+    theta_norm = 2.0 * np.sqrt(m - 1) * (theta_max + gains.sum())
+    bound = gains * row_norm
+    bound += 2.0 ** -52 * theta_norm
+    bound *= 1.0 + (m + 32) * 2.0 ** -50
+    return not bool(np.all(bound < thresholds))
+
+
+def _ball_may_fail(theta: np.ndarray, center: np.ndarray, radius: np.ndarray,
+                   gains: np.ndarray, row_norm: float, m: int) -> bool:
+    """False when no chain can leave its active ball within a fold block.
+
+    theta holds each chain's iterate at the block's start. With no
+    truncation in the block, radii stay put and each step moves theta by
+    at most a_k * row_norm, widened for rounding as in _move_may_bind.
+    NaN anywhere makes the test run.
+    """
+    dev = theta - center
+    dev = np.sqrt(np.add.reduce(dev * dev, axis=1))
+    theta_max = float(np.abs(theta).max(initial=0.0))
+    theta_norm = 2.0 * np.sqrt(m - 1) * (theta_max + gains.sum())
+    reach = gains.sum() * row_norm + gains.size * 2.0 ** -52 * theta_norm
+    bound = (dev + reach) * (1.0 + (m + 32) * 2.0 ** -50)
+    return not bool(np.all(bound < radius))
+
+
 def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                    ladder: TruncationLadder, k_max: int, seeds: Sequence[int],
                    *, proposal: Proposal | None = None,
@@ -309,7 +350,14 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     Chain b is driven purely by default_rng(seeds[b]): each chain draws,
     per block of CHUNK iterations, first its proposal uniforms and then its
     acceptance uniforms. A batch member therefore reproduces the same
-    chain run solo, bit for bit.
+    chain run solo, bit for bit. The draws are kept step-major, one column
+    per chain; that layout changes where a draw is stored, not which draw
+    a step uses or the order in which a chain makes them.
+
+    Iterates are folded into the compensated running sum in short blocks
+    that end at every snapshot. The move test is skipped for a block of
+    draws, and the ball test for a fold block, only when a bound padded
+    for rounding shows that every chain passes it.
     """
     if not isinstance(model.space, FiniteStates):
         raise TypeError("run_samc_batch supports finite state spaces only")
@@ -347,6 +395,10 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                           axis=1)
     assert np.abs(full.sum(axis=1)).max() < 1e-12
     assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
+    # the same rows extended by the pinned component, whose step is 0
+    steps_ext = np.zeros((m, m))
+    steps_ext[:, : m - 1] = update_rows
+    row_norm = float(np.sqrt((update_rows * update_rows).sum(axis=1)).max())
 
     ladder = replace(ladder)
     center = ladder.center
@@ -359,75 +411,151 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     x0 = int(x0)
     if not 0 <= x0 < n:
         raise ValueError(f"initial state {x0} outside 0..{n - 1}")
-
-    is_free = labels < m
-    free_idx = np.minimum(labels, m - 1) - 1
+    label_idx = labels - 1
+    j0 = int(label_idx[x0])
+    reinit_ext = np.append(reinit_theta, 0.0)
+    reinit_max = float(np.abs(reinit_theta).max(initial=0.0))
 
     B = len(seeds)
     rngs = [np.random.default_rng(s) for s in seeds]
-    th = np.tile(reinit_theta, (B, 1))
+    rows = np.arange(B)
+    # path[r] holds every chain's extended theta after the r-th step of a
+    # fold block (row 0: before it); the pinned last column stays 0, so
+    # one flat gather reads theta's extended component for any label
+    fold = max(1, min(FOLD_ROWS, FOLD_CELLS // max(1, B * m)))
+    path = np.zeros((fold + 1, B, m))
+    path[0] = reinit_ext
+    path_flat = path.reshape(-1)
+    ext_rows = list(path)
+    free_rows = [row[:, : m - 1] for row in ext_rows]
+    row_base = (np.arange(fold + 1)[:, None] * B + rows) * m
+    visited = np.empty((fold, B), dtype=np.int64)  # label index after each step
+    count_base = rows * m
+
     xs = np.full(B, x0, dtype=np.int64)
+    ys = np.empty(B, dtype=np.int64)
+    # row 0: the current state's label index, row 1: the proposal's
+    labs = np.full((2, B), j0, dtype=np.int64)
+    j_cur, j_prop = labs
+    idx = np.empty((2, B), dtype=np.int64)
+    th_pair = np.empty((2, B))
+    th_x, th_y = th_pair
+    cdf_rows = np.empty((B, n))
+    above = np.empty((B, n), dtype=bool)
+    accept = np.empty(B, dtype=bool)
+    step = np.empty((B, m))
+    sq = np.empty((B, m - 1))
+    norm = np.empty(B)
+    ok = np.empty(B, dtype=bool)
+    inside = np.empty(B, dtype=bool)
+
     sig = np.full(B, ladder.sigma, dtype=np.int64)
     counts = np.zeros((B, m), dtype=np.int64)
     ksum = KahanSum((B, m - 1))
-    rows = np.arange(B)
     thetas = np.empty((B, k_max, m - 1)) if store_thetas else None
     sigma_events: list[list[int]] = [[] for _ in range(B)]
     snaps: list[list[Snapshot]] = [[] for _ in range(B)]
     with np.errstate(over="ignore"):  # huge sigma saturates to inf
         radius = ladder.r0 * ladder.growth ** sig.astype(float)
 
+    # one block of draws laid out step-major, one column per chain, so each
+    # step reads contiguous (B,) uniforms
+    u_prop = np.empty((min(CHUNK, k_max), B))
+    u_acc = np.empty_like(u_prop)
+    u_prop_col = u_prop[:, :, None]
+
+    stride = abs(snapshot_stride)
     k = 0
     while k < k_max:
         length = min(CHUNK, k_max - k)
-        u_prop = np.empty((B, length))
-        u_acc = np.empty((B, length))
         for b, rng in enumerate(rngs):
-            u_prop[b] = rng.random(length)
-            u_acc[b] = rng.random(length)
+            u_prop[:length, b] = rng.random(length)
+            u_acc[:length, b] = rng.random(length)
+        gains = np.fromiter((gain_at(schedule, j)
+                             for j in range(k + 1, k + length + 1)), float, length)
+        thresholds = np.fromiter((threshold_at(schedule, j)
+                                  for j in range(k + 1, k + length + 1)), float, length)
+        move_test = _move_may_bind(gains, thresholds, row_norm, m,
+                                   max(float(np.abs(ext_rows[0]).max(initial=0.0)),
+                                       reinit_max))
+        c = 0
+        while c < length:
+            # a fold block ends at the chunk's end and at every snapshot
+            steps = min(fold, length - c, stride - k % stride)
+            k_first = k
+            # the bound costs about as much as two steps' ball tests
+            ball_test = move_test or steps < 3 or _ball_may_fail(
+                free_rows[0], center, radius, gains[c:c + steps], row_norm, m)
+            for i in range(steps):
+                k += 1
+                # proposal draw by inverse cdf on the current state's row:
+                # the first entry above u is the count of entries <= u, as
+                # the row is nondecreasing and ends at 1 > u
+                cdf.take(xs, axis=0, out=cdf_rows, mode="clip")
+                np.greater(cdf_rows, u_prop_col[c], out=above)
+                above.argmax(axis=1, out=ys)
+                log_r = ratio_table[xs, ys]
+                if m > 1:
+                    label_idx.take(ys, out=j_prop, mode="clip")
+                    np.add(labs, row_base[i], out=idx)
+                    path_flat.take(idx, out=th_pair, mode="clip")
+                    np.subtract(th_x, th_y, out=th_x)
+                    np.add(log_r, th_x, out=log_r)
+                np.minimum(0.0, log_r, out=log_r)
+                np.exp(log_r, out=log_r)
+                np.less(u_acc[c], log_r, out=accept)
+                np.copyto(xs, ys, where=accept)
+                np.copyto(j_cur, j_prop, where=accept)
 
-        for i in range(length):
-            k += 1
-            # proposal draw by inverse cdf on the current state's row
-            ys = (cdf[xs] <= u_prop[:, i][:, None]).sum(axis=1)
-            log_r = ratio_table[xs, ys]
-            if m > 1:
-                th_ext_x = np.where(is_free[xs], th[rows, free_idx[xs]], 0.0)
-                th_ext_y = np.where(is_free[ys], th[rows, free_idx[ys]], 0.0)
-                log_r = log_r + (th_ext_x - th_ext_y)
-            accept = u_acc[:, i] < np.exp(np.minimum(0.0, log_r))
-            xs = np.where(accept, ys, xs)
-            jn = labels[xs]
+                steps_ext.take(j_cur, axis=0, out=step, mode="clip")
+                np.multiply(step, gains[c], out=step)
+                np.add(ext_rows[i], step, out=ext_rows[i + 1])
+                th_half = free_rows[i + 1]
+                # norm of the realized difference, not of a*update: matches
+                # the scalar truncation_decide arithmetic bit for bit
+                if move_test:
+                    np.subtract(th_half, free_rows[i], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    np.add.reduce(sq, axis=1, out=norm)
+                    np.sqrt(norm, out=norm)
+                    np.less_equal(norm, thresholds[c], out=ok)
+                if ball_test:
+                    np.subtract(th_half, center, out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    np.add.reduce(sq, axis=1, out=norm)
+                    np.sqrt(norm, out=norm)
+                    if move_test:
+                        np.less_equal(norm, radius, out=inside)
+                        np.logical_and(ok, inside, out=ok)
+                    else:
+                        np.less_equal(norm, radius, out=ok)
+                if ball_test and not np.logical_and.reduce(ok):
+                    reset = ~ok
+                    np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
+                    np.copyto(xs, x0, where=reset)
+                    np.copyto(j_cur, j0, where=reset)
+                    sig += reset
+                    with np.errstate(over="ignore"):
+                        radius = ladder.r0 * ladder.growth ** sig.astype(float)
+                    for b in np.nonzero(reset)[0]:
+                        sigma_events[b].append(k)
+                np.copyto(visited[i], j_cur)
+                c += 1
 
-            a = gain_at(schedule, k)
-            th_half = th + a * update_rows[jn - 1]
-            # norm of the realized difference, not of a*update: matches the
-            # scalar truncation_decide arithmetic bit for bit
-            diff = th_half - th
-            move = np.sqrt((diff * diff).sum(axis=1))
-            dev = th_half - center[None, :]
-            inside = np.sqrt((dev * dev).sum(axis=1)) <= radius
-            ok = (move <= threshold_at(schedule, k)) & inside
-            if ok.all():
-                th = th_half
-            else:
-                th = np.where(ok[:, None], th_half, reinit_theta[None, :])
-                xs = np.where(ok, xs, x0)
-                sig = np.where(ok, sig, sig + 1)
-                with np.errstate(over="ignore"):
-                    radius = ladder.r0 * ladder.growth ** sig.astype(float)
-                jn = labels[xs]
-                for b in np.nonzero(~ok)[0]:
-                    sigma_events[b].append(k)
-            counts[rows, jn - 1] += 1
-            ksum.add(th)
+            counts += np.bincount((visited[:steps] + count_base).ravel(),
+                                  minlength=B * m).reshape(B, m)
+            block = path[1:steps + 1, :, : m - 1]
+            ksum.add_rows(block)
             if store_thetas:
-                thetas[:, k - 1, :] = th
+                thetas[:, k_first:k, :] = block.transpose(1, 0, 2)
             if k % snapshot_stride == 0 or k == k_max:
+                sums = ksum.value
                 for b in range(B):
                     snaps[b].append(Snapshot(
-                        k=k, theta=th[b].copy(), pi_hat=counts[b] / k,
-                        sigma=int(sig[b]), theta_sum=ksum.value[b].copy()))
+                        k=k, theta=free_rows[steps][b].copy(),
+                        pi_hat=counts[b] / k, sigma=int(sig[b]),
+                        theta_sum=sums[b].copy()))
+            path[0] = path[steps]
 
     return [
         RunTrace(
@@ -438,7 +566,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             seed=seeds[b],
             visit_counts=counts[b].copy(),
             snapshots=snaps[b],
-            final_theta=th[b].copy(),
+            final_theta=free_rows[0][b].copy(),
             final_sigma=int(sig[b]),
             final_state=int(xs[b]),
         )

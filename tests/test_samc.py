@@ -22,10 +22,12 @@ from samcmc import (
     run_samc_batch,
     samc_log_ratio,
     samc_update,
+    threshold_at,
     trial_log_density,
     truncation_decide,
     visit_freq,
 )
+from samcmc import samc
 from test_samle import trace_digest
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
@@ -530,3 +532,17 @@ def test_move_threshold_binds_now_and_then(chain):
         assert 0 < len(t.sigma_events) < 1000
         assert t.sigma_events[-1] < 16_384
     assert digests(traces) == GOLDEN_MOVE_BINDS
+
+    # the engine runs the move test on the first two blocks of draws and
+    # skips it on the third, so both sides of the skip are pinned above
+    rows = np.eye(3)[:, :2] - model.pi[:2]
+    row_norm = np.sqrt((rows * rows).sum(axis=1)).max()
+
+    def may_bind(first, last):
+        ks = range(first, last + 1)
+        return samc._move_may_bind(
+            np.array([gain_at(schedule, k) for k in ks]),
+            np.array([threshold_at(schedule, k) for k in ks]), row_norm, 3, 1.0)
+
+    assert may_bind(1, 8192) and may_bind(8193, 16_384)
+    assert not may_bind(16_385, 20_000)
