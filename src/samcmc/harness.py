@@ -327,14 +327,18 @@ def write_outputs(obj, output_dir, *, summary: dict | None = None) -> list[Path]
 
     Trace rows carry {k, theta, pi_hat, sigma} per snapshot; floats print
     with 17 significant digits so re-reading reproduces the exact values.
-    Returns the written paths.
+    A trace written with its summary is named by the summary's mode and
+    the seed (trace_samc_0.csv, summary_samc_0.json), so samc and samle
+    runs can share an output directory and a seed. Returns the written
+    paths.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(obj, RunTrace):
-        paths = [write_trace(obj, output_dir / f"trace_{obj.seed}.csv")]
+        tag = f"{obj.seed}" if summary is None else f"{summary['mode']}_{obj.seed}"
+        paths = [write_trace(obj, output_dir / f"trace_{tag}.csv")]
         if summary is not None:
-            spath = output_dir / f"summary_{obj.seed}.json"
+            spath = output_dir / f"summary_{tag}.json"
             spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             paths.append(spath)
         return paths

@@ -91,7 +91,7 @@ class DiscreteNeighbor:
         if np.any(matrix < 0):
             raise ValueError("proposal entries must be nonnegative")
         row_err = np.abs(matrix.sum(axis=1) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
+        if not row_err <= ROW_SUM_TOL:  # a NaN entry fails too
             raise ValueError(f"proposal rows must sum to 1 (max error {row_err:.3g})")
         cdf = np.cumsum(matrix, axis=1)
         cdf[:, -1] = 1.0

@@ -109,7 +109,14 @@ def load_chain_file(path: str | Path) -> FiniteChainSpec:
     pi = np.array([float(v) for v in lines[3].split()])
     if len(pi) != m:
         raise ValueError(f"{path}: expected {m} probabilities on line 4")
-    proposal = np.array([[float(v) for v in lines[4 + i].split()] for i in range(n)])
+    try:
+        proposal = np.loadtxt(lines[4:], ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValueError(f"{path}: proposal rows must hold {n} numbers each "
+                         f"({exc})") from exc
+    if proposal.shape != (n, n):
+        raise ValueError(f"{path}: proposal rows must hold {n} numbers each, "
+                         f"found {proposal.shape[1]}")
     return FiniteChainSpec(n_states=n, log_psi=log_psi, labels=labels,
                            proposal=proposal, pi=pi)
 

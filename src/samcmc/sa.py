@@ -205,7 +205,10 @@ class TruncationLadder:
     def contains(self, theta: np.ndarray, s: int | None = None) -> bool:
         if s is None:
             s = self.sigma
-        return bool(np.linalg.norm(np.asarray(theta) - self.center) <= self.radius_at(s))
+        # past float range the norm saturates to inf like the radius does
+        with np.errstate(over="ignore"):
+            dist = np.linalg.norm(np.asarray(theta) - self.center)
+        return bool(dist <= self.radius_at(s))
 
 
 @dataclass(frozen=True)

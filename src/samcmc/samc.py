@@ -32,9 +32,9 @@ from .sa import (
     truncation_decide,
 )
 
-# chains per pre-drawn randomness block in the vectorized engine; bounds
+# iterations per pre-drawn randomness block in the vectorized engine; bounds
 # transient memory without changing any draw (the chunking is part of the
-# draw-order contract, see _run_finite_batch)
+# draw-order contract, see run_samc_batch)
 CHUNK = 8192
 # steps folded into the compensated running sum at a time: at most
 # FOLD_ROWS steps and FOLD_CELLS extended theta entries, so the fold
@@ -304,22 +304,19 @@ def _run_samc_generic(model: SamcModel, schedule: GainSchedule,
         final_theta=theta.theta.copy(), final_sigma=ladder.sigma, final_state=x)
 
 
-def _move_may_bind(gains: np.ndarray, thresholds: np.ndarray,
-                   row_norm: float, m: int, theta_max: float) -> bool:
-    """False when no step of a block can fail the move threshold b_k.
+def _step_bounds(gains: np.ndarray, row_norm: float, m: int,
+                 theta_max: float) -> np.ndarray:
+    """Bounds on the realized norm of each step of a block of iterations.
 
-    Step k moves theta by a_k times one label's update row, so its realized
-    norm is at most a_k * row_norm, widened for the rounding of the half
-    step, of the difference and of the norm. That rounding scales with
-    |theta|, which stays below the block's starting and reset entries plus
-    the block's summed gains (update entries are below 1), doubled. NaN or
-    inf anywhere makes the test run.
+    Step k moves theta by a_k times one label's update row, so its norm is
+    at most a_k * row_norm, widened for the rounding of the half step, of
+    the difference and of the norm. That rounding scales with |theta|,
+    whose entries stay below theta_max (the largest starting or reset
+    entry) plus the block's summed gains, as update entries are below 1;
+    the sum is doubled for slack. NaN or inf in, NaN or inf out.
     """
     theta_norm = 2.0 * np.sqrt(m - 1) * (theta_max + gains.sum())
-    bound = gains * row_norm
-    bound += 2.0 ** -52 * theta_norm
-    bound *= 1.0 + (m + 32) * 2.0 ** -50
-    return not bool(np.all(bound < thresholds))
+    return (gains * row_norm + 2.0 ** -52 * theta_norm) * (1.0 + (m + 32) * 2.0 ** -50)
 
 
 def _ball_may_fail(theta: np.ndarray, center: np.ndarray, radius: np.ndarray,
@@ -327,15 +324,14 @@ def _ball_may_fail(theta: np.ndarray, center: np.ndarray, radius: np.ndarray,
     """False when no chain can leave its active ball within a fold block.
 
     theta holds each chain's iterate at the block's start. With no
-    truncation in the block, radii stay put and each step moves theta by
-    at most a_k * row_norm, widened for rounding as in _move_may_bind.
-    NaN anywhere makes the test run.
+    truncation in the block, radii stay put and each chain ends every step
+    within the sum of the step bounds of where it started. NaN anywhere
+    makes the test run.
     """
     dev = theta - center
     dev = np.sqrt(np.add.reduce(dev * dev, axis=1))
-    theta_max = float(np.abs(theta).max(initial=0.0))
-    theta_norm = 2.0 * np.sqrt(m - 1) * (theta_max + gains.sum())
-    reach = gains.sum() * row_norm + gains.size * 2.0 ** -52 * theta_norm
+    reach = _step_bounds(gains, row_norm, m,
+                         float(np.abs(theta).max(initial=0.0))).sum()
     bound = (dev + reach) * (1.0 + (m + 32) * 2.0 ** -50)
     return not bool(np.all(bound < radius))
 
@@ -475,9 +471,10 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                              for j in range(k + 1, k + length + 1)), float, length)
         thresholds = np.fromiter((threshold_at(schedule, j)
                                   for j in range(k + 1, k + length + 1)), float, length)
-        move_test = _move_may_bind(gains, thresholds, row_norm, m,
-                                   max(float(np.abs(ext_rows[0]).max(initial=0.0)),
-                                       reinit_max))
+        # the move test runs only on chunks where some step can exceed b_k
+        theta_max = max(float(np.abs(ext_rows[0]).max(initial=0.0)), reinit_max)
+        move_test = not np.all(
+            _step_bounds(gains, row_norm, m, theta_max) < thresholds)
         c = 0
         while c < length:
             # a fold block ends at the chunk's end and at every snapshot
@@ -495,12 +492,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 np.greater(cdf_rows, u_prop_col[c], out=above)
                 above.argmax(axis=1, out=ys)
                 log_r = ratio_table[xs, ys]
-                if m > 1:
-                    label_idx.take(ys, out=j_prop, mode="clip")
-                    np.add(labs, row_base[i], out=idx)
-                    path_flat.take(idx, out=th_pair, mode="clip")
-                    np.subtract(th_x, th_y, out=th_x)
-                    np.add(log_r, th_x, out=log_r)
+                label_idx.take(ys, out=j_prop, mode="clip")
+                np.add(labs, row_base[i], out=idx)
+                path_flat.take(idx, out=th_pair, mode="clip")
+                np.subtract(th_x, th_y, out=th_x)
+                np.add(log_r, th_x, out=log_r)
                 np.minimum(0.0, log_r, out=log_r)
                 np.exp(log_r, out=log_r)
                 np.less(u_acc[c], log_r, out=accept)

@@ -192,7 +192,7 @@ def test_trace_round_trip_is_exact(tmp_path):
         tmp_path, SMALL_SAMC.format(out=tmp_path / "out")))
     trace, summary = run_single(config)
     paths = write_outputs(trace, config.output_dir, summary=summary)
-    assert [p.name for p in paths] == ["trace_7.csv", "summary_7.json"]
+    assert [p.name for p in paths] == ["trace_samc_7.csv", "summary_samc_7.json"]
 
     data = read_trace(paths[0])
     np.testing.assert_array_equal(data["k"], [1000, 2000, 3000])
@@ -345,8 +345,8 @@ def test_cli_run_samc_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert main(["run-samc", str(p)]) == 0
     out = capsys.readouterr().out
     assert "seed 2: 2000 iterations" in out
-    assert (tmp_path / "runout" / "trace_2.csv").exists()
-    assert (tmp_path / "runout" / "summary_2.json").exists()
+    assert (tmp_path / "runout" / "trace_samc_2.csv").exists()
+    assert (tmp_path / "runout" / "summary_samc_2.json").exists()
 
     # config mode must match the subcommand
     assert main(["run-samle", str(p)]) == 2
@@ -360,6 +360,23 @@ def test_cli_run_samle(tmp_path, capsys, monkeypatch):
     assert main(["run-samle", str(p)]) == 0
     out = capsys.readouterr().out
     assert "y_bar (exact MLE): 0.74094673916" in out
+
+
+def test_cli_samc_and_samle_outputs_coexist(tmp_path, capsys, monkeypatch):
+    # one output directory and one seed, as the shipped configs share
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "shared"))
+    samc = write_config(tmp_path, "mode: samc\nk_max: 2000\nseed: 4\n", "s.yaml")
+    samle = write_config(tmp_path, "mode: samle\nk_max: 1500\nseed: 4\n"
+                                   "schedule: {c1: 0.1}\n", "l.yaml")
+    assert main(["run-samc", str(samc)]) == 0
+    written = {p: p.read_bytes() for p in (tmp_path / "shared").iterdir()}
+    assert main(["run-samle", str(samle)]) == 0
+    capsys.readouterr()
+    for path, data in written.items():
+        assert path.read_bytes() == data
+    assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == [
+        "summary_samc_4.json", "summary_samle_4.json",
+        "trace_samc_4.csv", "trace_samle_4.csv"]
 
 
 def test_cli_efficiency(tmp_path, capsys, monkeypatch):

@@ -90,6 +90,8 @@ def test_discrete_neighbor_validation():
         DiscreteNeighbor(np.array([[0.5, 0.4], [0.5, 0.5]]))
     with pytest.raises(ValueError, match="nonnegative"):
         DiscreteNeighbor(np.array([[1.5, -0.5], [0.5, 0.5]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        DiscreteNeighbor(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 def test_discrete_neighbor_never_draws_zero_mass_state():

@@ -316,6 +316,16 @@ def test_load_chain_file_rejects_short_file(tmp_path):
         load_chain_file(path)
 
 
+def test_load_chain_file_rejects_ragged_proposal_row(tmp_path, chain):
+    path = tmp_path / "ragged.txt"
+    dump_chain_file(chain, path)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6].rsplit(" ", 1)[0]          # proposal row 2 loses a value
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="ragged.txt: proposal rows must hold 10"):
+        load_chain_file(path)
+
+
 def test_spec_rejects_empty_subregion():
     with pytest.raises(ValueError, match="empty subregions"):
         FiniteChainSpec(

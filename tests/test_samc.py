@@ -540,9 +540,9 @@ def test_move_threshold_binds_now_and_then(chain):
 
     def may_bind(first, last):
         ks = range(first, last + 1)
-        return samc._move_may_bind(
-            np.array([gain_at(schedule, k) for k in ks]),
-            np.array([threshold_at(schedule, k) for k in ks]), row_norm, 3, 1.0)
+        bounds = samc._step_bounds(
+            np.array([gain_at(schedule, k) for k in ks]), row_norm, 3, 1.0)
+        return not np.all(bounds < [threshold_at(schedule, k) for k in ks])
 
     assert may_bind(1, 8192) and may_bind(8193, 16_384)
     assert not may_bind(16_385, 20_000)
