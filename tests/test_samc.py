@@ -513,6 +513,10 @@ def test_m1_chain_golden_digests(chain):
     assert digests(traces) == GOLDEN_M1
 
 
+MOVE_BINDS_PI = np.array([0.02, 0.49, 0.49])
+MOVE_BINDS_SCHEDULE = GainSchedule(c1=1.0, eta=0.7, c2=0.8, xi=0.6658)
+
+
 def test_move_threshold_binds_now_and_then(chain):
     # pi puts 2 % on subregion 1, whose update row is the longest (norm
     # about 1.10 against about 0.51). b_k/a_k = 0.8 k^0.034 lies between
@@ -522,27 +526,28 @@ def test_move_threshold_binds_now_and_then(chain):
         log_psi=lambda x: float(chain.log_psi[x]),
         classify=lambda x: int(chain.labels[x]),
         m=3,
-        pi=np.array([0.02, 0.49, 0.49]),
+        pi=MOVE_BINDS_PI,
         space=FiniteStates(chain.n_states, chain.proposal),
     )
-    schedule = GainSchedule(c1=1.0, eta=0.7, c2=0.8, xi=0.6658)
     ladder = TruncationLadder(center=np.zeros(2), r0=1e6, reinit_state=9)
-    traces = run_samc_batch(model, schedule, ladder, 20_000, [31, 32])
+    traces = run_samc_batch(model, MOVE_BINDS_SCHEDULE, ladder, 20_000, [31, 32])
     for t in traces:
         assert 0 < len(t.sigma_events) < 1000
         assert t.sigma_events[-1] < 16_384
     assert digests(traces) == GOLDEN_MOVE_BINDS
 
-    # the engine runs the move test on the first two blocks of draws and
-    # skips it on the third, so both sides of the skip are pinned above
-    rows = np.eye(3)[:, :2] - model.pi[:2]
+
+def test_move_test_runs_only_where_the_threshold_can_bind():
+    # the engine runs the move test on the first two blocks of draws of
+    # the run above and skips it on the third, so the digests pin both
+    rows = np.eye(3)[:, :2] - MOVE_BINDS_PI[:2]
     row_norm = np.sqrt((rows * rows).sum(axis=1)).max()
 
     def may_bind(first, last):
         ks = range(first, last + 1)
         bounds = samc._step_bounds(
-            np.array([gain_at(schedule, k) for k in ks]), row_norm, 3, 1.0)
-        return not np.all(bounds < [threshold_at(schedule, k) for k in ks])
+            np.array([gain_at(MOVE_BINDS_SCHEDULE, k) for k in ks]), row_norm, 3, 1.0)
+        return not np.all(bounds < [threshold_at(MOVE_BINDS_SCHEDULE, k) for k in ks])
 
     assert may_bind(1, 8192) and may_bind(8193, 16_384)
     assert not may_bind(16_385, 20_000)
