@@ -1,8 +1,10 @@
 """Config loading, run orchestration, artifacts, and the CLI front end."""
 
+import hashlib
 import json
 import math
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,18 @@ from samcmc import (
 from samcmc.cli import main
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the trace CSV bytes and of the summary JSON without its timing,
+# as the CLI writes them for the shipped run configs; computed before the
+# lockstep engines' bookkeeping moved into sa.py, and kept since
+GOLDEN_CLI = {
+    "samc": ("81aad7927d325938714bb2b3a743fd2880d188fccf4f205ce47badf00c872059",
+             "aa1259a6335d526c66fe5aae398383c988fea149e6a92101a7a15033ef42eac1"),
+    "samle": ("a1730e3cfe76a3cd914957d6148347f36634eea49785638b2ca5fdefb11706e0",
+              "5f7eeeed1d22e2bd8f00bca2c06e316943f4f057489e927e3d4996c47a91d317"),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -377,6 +391,21 @@ def test_cli_samc_and_samle_outputs_coexist(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in (tmp_path / "shared").iterdir()) == [
         "summary_samc_4.json", "summary_samle_4.json",
         "trace_samc_4.csv", "trace_samle_4.csv"]
+
+
+@pytest.mark.parametrize("mode, config", [("samc", "samc_chain10.yaml"),
+                                          ("samle", "samle_toy.yaml")])
+def test_cli_outputs_of_shipped_configs_are_pinned(mode, config, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+    assert main([f"run-{mode}", str(CONFIGS / config)]) == 0
+    capsys.readouterr()
+    trace = (tmp_path / f"trace_{mode}_0.csv").read_bytes()
+    summary = json.loads((tmp_path / f"summary_{mode}_0.json").read_text())
+    del summary["timing"]
+    canon = json.dumps(summary, sort_keys=True).encode()
+    assert (hashlib.sha256(trace).hexdigest(),
+            hashlib.sha256(canon).hexdigest()) == GOLDEN_CLI[mode]
 
 
 def test_cli_efficiency(tmp_path, capsys, monkeypatch):

@@ -20,6 +20,14 @@ from samcmc import (
     truncation_decide,
     validate_schedule,
 )
+from test_samle import trace_digest
+
+# trace_digest of run_sa on the noisy-mean problem below, once on the
+# default ladder and once on a tight one that truncates twice; computed
+# before the lockstep engines' bookkeeping moved into sa.py, and kept since
+GOLDEN_RUN_SA = "8d1c78d1ccae26fe043862705a934d4a280669632219b946f015e63ba4b51030"
+GOLDEN_RUN_SA_TRUNCATING = (
+    "5bc252034f6ee19fc82a4e51a5b99a99bc7324902cc5dc888bcf5b4366450e8d")
 
 
 def test_gain_at_values():
@@ -227,6 +235,22 @@ def test_run_sa_truncation_resets_to_initial_pair():
     assert trace.final_sigma == 5
     assert np.all(trace.thetas == 0.0)
     assert trace.final_state == "x0"
+
+
+def test_run_sa_golden_digests():
+    problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
+                        h_noisy=lambda th, x: np.atleast_1d(x - th))
+    plain = run_sa(problem, GainSchedule(),
+                   TruncationLadder(center=np.zeros(1), reinit_state=0.0),
+                   3000, seed=42, snapshot_stride=500)
+    tight = run_sa(problem, GainSchedule(),
+                   TruncationLadder(center=np.zeros(1), r0=0.5, growth=1.5,
+                                    reinit_state=0.0),
+                   3000, seed=43, snapshot_stride=500)
+    assert plain.sigma_events == []
+    assert tight.sigma_events == [2, 5]
+    assert trace_digest(plain) == GOLDEN_RUN_SA
+    assert trace_digest(tight) == GOLDEN_RUN_SA_TRUNCATING
 
 
 def make_trace(thetas, snapshot_at=()):

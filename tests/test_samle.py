@@ -1,6 +1,7 @@
 """Missing-data maximum likelihood driver and the Gaussian location toy."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ GOLDEN_NARROW_BOX = {
     7: "e63d35801ff7c5e9afbda16d64545b9064cc311271cfc888988ffde3f617e772",
     8: "12a4afaa8d094df972e09449d1763c7e4f7887450aafd161fce2775c87226410",
 }
+# the same fixtures run solo on the scalar path (batched=False); computed
+# from the scalar loop that run_samle had before it was routed through
+# run_sa, and kept since
+GOLDEN_SCALAR_TIGHT_LADDER = (
+    "379059d6ba359d28bd0a105f1b84827ebb37d836de3acb4339d535ccfa81e5e9")
+GOLDEN_SCALAR_NARROW_BOX = (
+    "a4afa63cfe82a6fe96bc1796ba2078bd0796e96249e86e24ca306334f7306e35")
 
 
 @pytest.fixture(scope="module")
@@ -320,3 +328,33 @@ def test_batch_engine_reflects_at_narrow_box_walls(toy_y):
     wide = run(gaussian_location_model(toy_y))
     for t, w in zip(traces, wide):
         assert not np.array_equal(t.final_state, w.final_state)
+
+
+def test_scalar_path_golden_digests(toy_y):
+    # the toy fixtures with batched=False run the scalar path, which draws
+    # through mh_step; a tight ladder truncates and a narrow box reflects
+    schedule = GainSchedule(c1=0.1)
+    model = replace(gaussian_location_model(toy_y), batched=False)
+    tight = run_samle(
+        model, schedule,
+        TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                         reinit_state=toy_y.copy()),
+        4000, seed=5, sweeps=2, snapshot_stride=500)
+    assert tight.sigma_events == [1, 2, 4, 914]
+    assert trace_digest(tight) == GOLDEN_SCALAR_TIGHT_LADDER
+
+    boxed = replace(narrow_box_model(toy_y), batched=False)
+
+    def run(m):
+        return run_samle(
+            m, schedule,
+            TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy()),
+            4000, seed=7, sweeps=2,
+            proposal=RandomWalk(step=0.4, bounds=m.x_space),
+            snapshot_stride=500)
+
+    narrow = run(boxed)
+    assert boxed.x_space.contains(narrow.final_state)
+    assert trace_digest(narrow) == GOLDEN_SCALAR_NARROW_BOX
+    wide = run(model)
+    assert not np.array_equal(narrow.final_state, wide.final_state)
