@@ -18,7 +18,7 @@ convergence theory needs, clause by clause.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -388,3 +388,88 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
     return RunTrace(thetas=thetas, sigma_events=events, running_sum=acc.value,
                     k=k_max, seed=seed, snapshots=snapshots, final_theta=theta.copy(),
                     final_sigma=ladder.sigma, final_state=x)
+
+
+class Lockstep:
+    """Bookkeeping of B chains that a vectorized engine runs in lockstep.
+
+    Chain b draws only from rngs[b] = default_rng(seeds[b]). The engine
+    moves every chain and reports truncations (reset) and blocks of
+    iterates (fold); this class keeps each chain's truncation count, ball
+    radius and truncation iterations, the compensated running sums, the
+    stored iterates if asked for, and the snapshots.
+    """
+
+    def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
+                 k_max: int, seeds: Sequence[int], d: int,
+                 snapshot_stride: int, store_thetas: bool):
+        if k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
+        self.ladder = replace(ladder)            # private sigma state for this run
+        self.stride = abs(snapshot_stride)
+        B = len(seeds)
+        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.sig = np.full(B, self.ladder.sigma, dtype=np.int64)
+        self.radius = self._radius()
+        self.events: list[list[int]] = [[] for _ in range(B)]
+        self.ksum = KahanSum((B, d))
+        self.thetas = np.empty((B, k_max, d)) if store_thetas else None
+        self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
+
+    def _radius(self) -> np.ndarray:
+        with np.errstate(over="ignore"):  # huge sigma saturates to inf
+            return self.ladder.r0 * self.ladder.growth ** self.sig.astype(float)
+
+    def block_schedule(self, k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
+        js = range(k + 1, k + length + 1)
+        gains = np.fromiter((gain_at(self.schedule, j) for j in js), float, length)
+        thresholds = np.fromiter((threshold_at(self.schedule, j) for j in js),
+                                 float, length)
+        return gains, thresholds
+
+    def reset(self, mask: np.ndarray, k: int) -> None:
+        """Count a truncation at iteration k for every chain in mask."""
+        self.sig += mask
+        self.radius = self._radius()
+        for b in np.nonzero(mask)[0]:
+            self.events[b].append(k)
+
+    def fold(self, rows: np.ndarray, k: int,
+             counts: np.ndarray | None = None) -> None:
+        """Add the iterates of the steps that end at iteration k.
+
+        rows has shape (steps, B, d). When k is a snapshot point, each chain
+        records one; counts, if the engine keeps them, are the (B, m) visit
+        counts after step k.
+        """
+        sums = self.ksum.add_rows(rows)
+        if self.thetas is not None:
+            self.thetas[:, k - len(rows):k] = rows.transpose(1, 0, 2)
+        if k % self.stride == 0 or k == self.k_max:
+            for b, snaps in enumerate(self.snaps):
+                snaps.append(Snapshot(
+                    k=k, theta=rows[-1, b].copy(),
+                    pi_hat=None if counts is None else counts[b] / k,
+                    sigma=int(self.sig[b]), theta_sum=sums[-1, b].copy()))
+
+    def traces(self, theta: np.ndarray, states: Sequence,
+               counts: np.ndarray | None = None) -> list[RunTrace]:
+        """One trace per chain, given the final iterates and sample points."""
+        total = self.ksum.value
+        return [
+            RunTrace(
+                thetas=None if self.thetas is None else self.thetas[b],
+                sigma_events=self.events[b],
+                running_sum=total[b].copy(),
+                k=self.k_max,
+                seed=seed,
+                visit_counts=None if counts is None else counts[b].copy(),
+                snapshots=self.snaps[b],
+                final_theta=theta[b].copy(),
+                final_sigma=int(self.sig[b]),
+                final_state=states[b],
+            )
+            for b, seed in enumerate(self.seeds)
+        ]

@@ -7,30 +7,20 @@ first m-1 components of theta are free; the last is pinned at zero, so
 trial densities are invariant to the additive drift the update would
 otherwise accumulate.
 
-Finite state spaces run through a vectorized multi-chain engine that is
-bit-for-bit reproducible chain by chain; arbitrary spaces fall back to a
-scalar loop built on the MH kernels.
+Runs use a vectorized multi-chain engine over a finite state space; it
+is bit-for-bit reproducible chain by chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import Box, DiscreteNeighbor, Proposal, RandomWalk, mh_step
+from .kernels import DiscreteNeighbor, Proposal
 from .oracle import FiniteChainSpec
-from .sa import (
-    GainSchedule,
-    KahanSum,
-    RunTrace,
-    Snapshot,
-    TruncationLadder,
-    gain_at,
-    threshold_at,
-    truncation_decide,
-)
+from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
 
 # iterations per pre-drawn randomness block in the vectorized engine; bounds
 # transient memory without changing any draw (the chunking is part of the
@@ -60,8 +50,6 @@ class FiniteStates:
                 raise ValueError("proposal matrix shape must match n_states")
 
 
-Space = Union[FiniteStates, Box]
-
 
 @dataclass(frozen=True)
 class SamcModel:
@@ -75,9 +63,12 @@ class SamcModel:
     classify: Callable
     m: int
     pi: np.ndarray
-    space: Space
+    space: FiniteStates
 
     def __post_init__(self):
+        if not isinstance(self.space, FiniteStates):
+            raise TypeError("space must be FiniteStates, got "
+                            f"{type(self.space).__name__}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         pi = np.asarray(self.pi, dtype=float)
@@ -222,86 +213,16 @@ def _tabulate(model: SamcModel) -> tuple[np.ndarray, np.ndarray]:
     return log_psi, labels
 
 
-def _default_proposal(model: SamcModel, proposal: Proposal | None) -> Proposal:
-    if proposal is not None:
-        return proposal
-    if isinstance(model.space, FiniteStates):
-        if model.space.proposal is not None:
-            return DiscreteNeighbor(model.space.proposal)
-        n = model.space.n_states
-        return DiscreteNeighbor(np.full((n, n), 1.0 / n))
-    if isinstance(model.space, Box):
-        return RandomWalk(step=1.0, bounds=model.space)
-    raise TypeError(f"unknown space type: {type(model.space).__name__}")
-
-
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
              k_max: int, seed: int, *, proposal: Proposal | None = None,
              snapshot_stride: int = 1000) -> RunTrace:
     """Run one adaptive chain for k_max steps; stores the full theta path.
 
-    Finite spaces use the vectorized engine with a single chain, so a solo
-    run is bit-identical to the corresponding member of a batch.
+    This is the vectorized engine with a single chain, so a solo run is
+    bit-identical to the corresponding member of a batch.
     """
-    proposal = _default_proposal(model, proposal)
-    if isinstance(model.space, FiniteStates):
-        if not isinstance(proposal, DiscreteNeighbor):
-            raise TypeError("finite state spaces need a DiscreteNeighbor proposal")
-        return run_samc_batch(
-            model, schedule, ladder, k_max, [seed], proposal=proposal,
-            snapshot_stride=snapshot_stride, store_thetas=True)[0]
-    return _run_samc_generic(model, schedule, ladder, k_max, seed,
-                             proposal, snapshot_stride)
-
-
-def _run_samc_generic(model: SamcModel, schedule: GainSchedule,
-                      ladder: TruncationLadder, k_max: int, seed: int,
-                      proposal: Proposal, snapshot_stride: int) -> RunTrace:
-    """Scalar fallback driver for spaces without a tabulated engine."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    ladder = replace(ladder)
-    rng = np.random.default_rng(seed)
-    m = model.m
-    theta = SamcTheta(ladder.reinit_theta.copy(), m)
-    x = ladder.reinit_state
-    if x is None:
-        raise ValueError("ladder.reinit_state must hold the initial sample point")
-
-    counts = np.zeros(m, dtype=np.int64)
-    ksum = KahanSum(m - 1)
-    thetas = np.empty((k_max, m - 1))
-    sigma_events: list[int] = []
-    snapshots: list[Snapshot] = []
-
-    for k in range(1, k_max + 1):
-        x, _ = mh_step(x, lambda pt: trial_log_density(model, theta, pt),
-                       proposal, rng)
-        j = model.classify(x)
-        a = gain_at(schedule, k)
-        theta_half = samc_update(theta, m, j, model.pi, a)
-        decision = truncation_decide(theta.theta, theta_half.theta, k,
-                                     schedule, ladder)
-        if decision.accepted:
-            theta = theta_half
-        else:
-            theta = SamcTheta(decision.theta, m)
-            x = decision.state
-            ladder.sigma = decision.sigma
-            sigma_events.append(k)
-            j = model.classify(x)
-        counts[j - 1] += 1
-        ksum.add(theta.theta)
-        thetas[k - 1] = theta.theta
-        if k % snapshot_stride == 0 or k == k_max:
-            snapshots.append(Snapshot(
-                k=k, theta=theta.theta.copy(), pi_hat=counts / k,
-                sigma=ladder.sigma, theta_sum=ksum.value.copy()))
-
-    return RunTrace(
-        thetas=thetas, sigma_events=sigma_events, running_sum=ksum.value,
-        k=k_max, seed=seed, visit_counts=counts, snapshots=snapshots,
-        final_theta=theta.theta.copy(), final_sigma=ladder.sigma, final_state=x)
+    return run_samc_batch(model, schedule, ladder, k_max, [seed], proposal=proposal,
+                          snapshot_stride=snapshot_stride, store_thetas=True)[0]
 
 
 def _step_bounds(gains: np.ndarray, row_norm: float, m: int,
@@ -355,17 +276,17 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     draws, and the ball test for a fold block, only when a bound padded
     for rounding shows that every chain passes it.
     """
-    if not isinstance(model.space, FiniteStates):
-        raise TypeError("run_samc_batch supports finite state spaces only")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    proposal = _default_proposal(model, proposal)
+    m, pi = model.m, model.pi
+    n = model.space.n_states
+    lock = Lockstep(schedule, ladder, k_max, seeds, m - 1, snapshot_stride,
+                    store_thetas)
+    if proposal is None:
+        q = model.space.proposal
+        proposal = DiscreteNeighbor(np.full((n, n), 1.0 / n) if q is None else q)
     if not isinstance(proposal, DiscreteNeighbor):
         raise TypeError("finite state spaces need a DiscreteNeighbor proposal")
 
     log_psi, labels = _tabulate(model)
-    m, pi = model.m, model.pi
-    n = model.space.n_states
     if proposal.matrix.shape != (n, n):
         raise ValueError("proposal matrix shape must match the state space")
     cdf = proposal._cdf
@@ -396,7 +317,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     steps_ext[:, : m - 1] = update_rows
     row_norm = float(np.sqrt((update_rows * update_rows).sum(axis=1)).max())
 
-    ladder = replace(ladder)
+    ladder = lock.ladder
     center = ladder.center
     reinit_theta = ladder.reinit_theta
     if center.shape != (m - 1,):
@@ -413,7 +334,6 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     reinit_max = float(np.abs(reinit_theta).max(initial=0.0))
 
     B = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
     rows = np.arange(B)
     # path[r] holds every chain's extended theta after the r-th step of a
     # fold block (row 0: before it); the pinned last column stays 0, so
@@ -444,15 +364,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     norm = np.empty(B)
     ok = np.empty(B, dtype=bool)
     inside = np.empty(B, dtype=bool)
-
-    sig = np.full(B, ladder.sigma, dtype=np.int64)
     counts = np.zeros((B, m), dtype=np.int64)
-    ksum = KahanSum((B, m - 1))
-    thetas = np.empty((B, k_max, m - 1)) if store_thetas else None
-    sigma_events: list[list[int]] = [[] for _ in range(B)]
-    snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-    with np.errstate(over="ignore"):  # huge sigma saturates to inf
-        radius = ladder.r0 * ladder.growth ** sig.astype(float)
 
     # one block of draws laid out step-major, one column per chain, so each
     # step reads contiguous (B,) uniforms
@@ -460,17 +372,13 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     u_acc = np.empty_like(u_prop)
     u_prop_col = u_prop[:, :, None]
 
-    stride = abs(snapshot_stride)
     k = 0
     while k < k_max:
         length = min(CHUNK, k_max - k)
-        for b, rng in enumerate(rngs):
+        for b, rng in enumerate(lock.rngs):
             u_prop[:length, b] = rng.random(length)
             u_acc[:length, b] = rng.random(length)
-        gains = np.fromiter((gain_at(schedule, j)
-                             for j in range(k + 1, k + length + 1)), float, length)
-        thresholds = np.fromiter((threshold_at(schedule, j)
-                                  for j in range(k + 1, k + length + 1)), float, length)
+        gains, thresholds = lock.block_schedule(k, length)
         # the move test runs only on chunks where some step can exceed b_k
         theta_max = max(float(np.abs(ext_rows[0]).max(initial=0.0)), reinit_max)
         move_test = not np.all(
@@ -478,11 +386,10 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
         c = 0
         while c < length:
             # a fold block ends at the chunk's end and at every snapshot
-            steps = min(fold, length - c, stride - k % stride)
-            k_first = k
+            steps = min(fold, length - c, lock.stride - k % lock.stride)
             # the bound costs about as much as two steps' ball tests
             ball_test = move_test or steps < 3 or _ball_may_fail(
-                free_rows[0], center, radius, gains[c:c + steps], row_norm, m)
+                free_rows[0], center, lock.radius, gains[c:c + steps], row_norm, m)
             for i in range(steps):
                 k += 1
                 # proposal draw by inverse cdf on the current state's row:
@@ -521,50 +428,22 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                     np.add.reduce(sq, axis=1, out=norm)
                     np.sqrt(norm, out=norm)
                     if move_test:
-                        np.less_equal(norm, radius, out=inside)
+                        np.less_equal(norm, lock.radius, out=inside)
                         np.logical_and(ok, inside, out=ok)
                     else:
-                        np.less_equal(norm, radius, out=ok)
+                        np.less_equal(norm, lock.radius, out=ok)
                 if ball_test and not np.logical_and.reduce(ok):
                     reset = ~ok
                     np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
                     np.copyto(xs, x0, where=reset)
                     np.copyto(j_cur, j0, where=reset)
-                    sig += reset
-                    with np.errstate(over="ignore"):
-                        radius = ladder.r0 * ladder.growth ** sig.astype(float)
-                    for b in np.nonzero(reset)[0]:
-                        sigma_events[b].append(k)
+                    lock.reset(reset, k)
                 np.copyto(visited[i], j_cur)
                 c += 1
 
             counts += np.bincount((visited[:steps] + count_base).ravel(),
                                   minlength=B * m).reshape(B, m)
-            block = path[1:steps + 1, :, : m - 1]
-            ksum.add_rows(block)
-            if store_thetas:
-                thetas[:, k_first:k, :] = block.transpose(1, 0, 2)
-            if k % snapshot_stride == 0 or k == k_max:
-                sums = ksum.value
-                for b in range(B):
-                    snaps[b].append(Snapshot(
-                        k=k, theta=free_rows[steps][b].copy(),
-                        pi_hat=counts[b] / k, sigma=int(sig[b]),
-                        theta_sum=sums[b].copy()))
+            lock.fold(path[1:steps + 1, :, : m - 1], k, counts)
             path[0] = path[steps]
 
-    return [
-        RunTrace(
-            thetas=thetas[b] if store_thetas else None,
-            sigma_events=sigma_events[b],
-            running_sum=ksum.value[b].copy(),
-            k=k_max,
-            seed=seeds[b],
-            visit_counts=counts[b].copy(),
-            snapshots=snaps[b],
-            final_theta=free_rows[0][b].copy(),
-            final_sigma=int(sig[b]),
-            final_state=int(xs[b]),
-        )
-        for b in range(B)
-    ]
+    return lock.traces(free_rows[0], xs.tolist(), counts)

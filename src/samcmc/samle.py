@@ -20,16 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import Box, Proposal, RandomWalk, mh_step, reflect_into_box
-from .sa import (
-    GainSchedule,
-    KahanSum,
-    RunTrace,
-    Snapshot,
-    TruncationLadder,
-    gain_at,
-    truncation_decide,
-    threshold_at,
-)
+from .sa import GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder, run_sa
 
 CHUNK = 2048
 
@@ -67,29 +58,6 @@ class NonFiniteGradientError(RuntimeError):
             f"theta={np.asarray(theta)}, x={np.asarray(x)}")
 
 
-def samle_step(theta: np.ndarray, x: np.ndarray, model: MissingDataModel,
-               proposal: Proposal, a: float, k: int, schedule: GainSchedule,
-               ladder: TruncationLadder, rng: np.random.Generator):
-    """One imputation-then-gradient iteration; returns (theta, x, truncated).
-
-    On a truncation event both coordinates reset to the ladder's reinit
-    point and ladder.sigma is advanced in place, so repeated calls against
-    the same ladder compose into a full run.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x_next, _ = mh_step(
-        x, lambda pt: model.predictive_log_density(pt, theta), proposal, rng)
-    grad = np.asarray(model.grad_complete_loglik(x_next, theta), dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise NonFiniteGradientError(k, theta, x_next, grad)
-    theta_half = theta + a * grad
-    decision = truncation_decide(theta, theta_half, k, schedule, ladder)
-    if decision.accepted:
-        return theta_half, x_next, False
-    ladder.sigma = decision.sigma
-    return decision.theta, decision.state, True
-
-
 def run_samle(model: MissingDataModel, schedule: GainSchedule,
               ladder: TruncationLadder, k_max: int, seed: int, *,
               proposal: Proposal | None = None, sweeps: int = 1,
@@ -98,53 +66,39 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
 
     sweeps > 1 applies that many MH refreshes to the latent data before
     each gradient step. Batch-capable models route through the vectorized
-    driver, so a solo run is bit-identical to the matching batch member.
+    driver, so a solo run is bit-identical to the matching batch member;
+    other models run through run_sa, refreshing the latents by mh_step.
     """
     if model.batched:
         return run_samle_batch(
             model, schedule, ladder, k_max, [seed], proposal=proposal,
             sweeps=sweeps, snapshot_stride=snapshot_stride,
             store_thetas=True)[0]
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
-    ladder = replace(ladder)
-    rng = np.random.default_rng(seed)
-    theta = ladder.reinit_theta.copy()
-    x = ladder.reinit_state
-    if x is None:
+    if ladder.reinit_state is None:
         raise ValueError("ladder.reinit_state must hold the initial latent data")
-    x = np.asarray(x, dtype=float)
+    k = 0           # gradient calls so far; run_sa makes one per iteration
 
-    d = theta.size
-    ksum = KahanSum(d)
-    thetas = np.empty((k_max, d))
-    sigma_events: list[int] = []
-    snapshots: list[Snapshot] = []
-
-    for k in range(1, k_max + 1):
-        for _ in range(sweeps - 1):
+    def refresh(theta, x, rng):
+        for _ in range(sweeps):
             x, _ = mh_step(
-                x, lambda pt: model.predictive_log_density(pt, theta),
-                proposal, rng)
-        a = gain_at(schedule, k)
-        theta, x, truncated = samle_step(
-            theta, x, model, proposal, a, k, schedule, ladder, rng)
-        if truncated:
-            sigma_events.append(k)
-        ksum.add(theta)
-        thetas[k - 1] = theta
-        if k % snapshot_stride == 0 or k == k_max:
-            snapshots.append(Snapshot(
-                k=k, theta=theta.copy(), pi_hat=None, sigma=ladder.sigma,
-                theta_sum=ksum.value.copy()))
+                x, lambda pt: model.predictive_log_density(pt, theta), proposal, rng)
+        return x
 
-    return RunTrace(
-        thetas=thetas, sigma_events=sigma_events, running_sum=ksum.value,
-        k=k_max, seed=seed, visit_counts=None, snapshots=snapshots,
-        final_theta=theta.copy(), final_sigma=ladder.sigma, final_state=x)
+    def gradient(theta, x):
+        nonlocal k
+        k += 1
+        grad = np.asarray(model.grad_complete_loglik(x, theta), dtype=float)
+        if not np.all(np.isfinite(grad)):
+            raise NonFiniteGradientError(k, theta, x, grad)
+        return grad
+
+    x0 = np.asarray(ladder.reinit_state, dtype=float)
+    return run_sa(SaProblem(refresh, gradient), schedule,
+                  replace(ladder, reinit_state=x0), k_max, seed,
+                  snapshot_stride=snapshot_stride)
 
 
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
@@ -180,12 +134,13 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
 
     Per iteration the first sweep scores the current latents and their
     proposals in one stacked model call. The iterates of a block are kept
-    and folded into the compensated running sum when the block ends.
+    and folded into the compensated running sum at every snapshot and when
+    the block ends.
     """
     if not model.batched:
         raise ValueError("run_samle_batch needs a model with batched=True")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    lock = Lockstep(schedule, ladder, k_max, seeds, ladder.reinit_theta.size,
+                    snapshot_stride, store_thetas)
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
@@ -195,10 +150,9 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     predictive = model.predictive_log_density
     score = model.grad_complete_loglik
 
-    ladder = replace(ladder)
-    center = ladder.center
-    reinit_theta = ladder.reinit_theta
-    x0 = ladder.reinit_state
+    center = lock.ladder.center
+    reinit_theta = lock.ladder.reinit_theta
+    x0 = lock.ladder.reinit_state
     if x0 is None:
         raise ValueError("ladder.reinit_state must hold the initial latent data")
     x0 = np.asarray(x0, dtype=float)
@@ -206,7 +160,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     dx = x0.size
 
     B = len(seeds)
-    rngs = [np.random.default_rng(s) for s in seeds]
     # rows :B hold each chain's latent data and rows B: its proposal, so
     # the first sweep scores both at the current theta in one model call
     pair = np.tile(x0, (2 * B, 1))
@@ -223,45 +176,36 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     zeros = np.zeros(B)
     accept = np.empty(B, dtype=bool)
     accept_col = accept[:, None]
-    sig = np.full(B, ladder.sigma, dtype=np.int64)
     # row i + 1 holds theta after the block's i-th step, row 0 the block's
     # starting theta; the truncation test writes its half-step in place
     path = np.empty((CHUNK + 1, B, d))
     path[0] = reinit_theta
-    ksum = KahanSum((B, d))
-    thetas = np.empty((B, k_max, d)) if store_thetas else None
-    sigma_events: list[list[int]] = [[] for _ in range(B)]
-    snaps: list[list[Snapshot]] = [[] for _ in range(B)]
     # row 0 tests the move |theta_half - theta| against b_k, row 1 the
     # distance |theta_half - center| against the active ball's radius
     sq = np.empty((2, B, d))
     norms = np.empty((2, B))
     limits = np.empty((CHUNK, 2, B))
     within = np.empty((2, B), dtype=bool)
-    with np.errstate(over="ignore"):  # huge sigma saturates to inf
-        radius = ladder.r0 * ladder.growth ** sig.astype(float)
 
     # one block of draws laid out step-major, so each step reads
     # contiguous (B, dx) offsets and (B,) uniforms
     offsets = np.empty((min(CHUNK, k_max), sweeps, B, dx))
     uniforms = np.empty((min(CHUNK, k_max), sweeps, B))
 
+    stride = lock.stride
     k = 0
     while k < k_max:
         length = min(CHUNK, k_max - k)
-        k_first = k
         z, u = offsets[:length], uniforms[:length]
-        for b, rng in enumerate(rngs):
+        for b, rng in enumerate(lock.rngs):
             np.multiply(rng.standard_normal((length, sweeps, dx)),
                         proposal.step, out=z[:, :, b, :])
             u[:, :, b] = rng.random((length, sweeps))
         reflect = not _walls_out_of_reach(box, xs, x0, z)
-        gains = [gain_at(schedule, j) for j in range(k + 1, k + length + 1)]
-        limits[:length, 0] = np.array(
-            [threshold_at(schedule, j) for j in range(k + 1, k + length + 1)]
-        )[:, None]
-        limits[:length, 1] = radius
-        snap_rows: list[tuple[int, np.ndarray]] = []
+        gains, thresholds = lock.block_schedule(k, length)
+        limits[:length, 0] = thresholds[:, None]
+        limits[:length, 1] = lock.radius
+        folded = 0      # path rows 1..folded of this chunk are summed
 
         for i in range(length):
             k += 1
@@ -300,41 +244,15 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                 reset = ~(within[0] & within[1])
                 np.copyto(th_half, reinit_theta, where=reset[:, None])
                 np.copyto(xs, x0, where=reset[:, None])
-                sig += reset
-                with np.errstate(over="ignore"):
-                    radius = ladder.r0 * ladder.growth ** sig.astype(float)
-                limits[i + 1:length, 1] = radius
-                for b in np.nonzero(reset)[0]:
-                    sigma_events[b].append(k)
-            if k % snapshot_stride == 0 or k == k_max:
-                snap_rows.append((i + 1, sig.copy()))
-
-        steps = path[1:length + 1]
-        sums = ksum.add_rows(steps)
-        if store_thetas:
-            thetas[:, k_first:k, :] = steps.transpose(1, 0, 2)
-        for row, sig_row in snap_rows:
-            for b in range(B):
-                snaps[b].append(Snapshot(
-                    k=k_first + row, theta=path[row, b].copy(), pi_hat=None,
-                    sigma=int(sig_row[b]), theta_sum=sums[row - 1, b].copy()))
+                lock.reset(reset, k)
+                limits[i + 1:length, 1] = lock.radius
+            # a fold block ends at every snapshot and at the chunk's end
+            if k % stride == 0 or i + 1 == length:
+                lock.fold(path[folded + 1:i + 2], k)
+                folded = i + 1
         path[0] = path[length]
 
-    return [
-        RunTrace(
-            thetas=thetas[b] if store_thetas else None,
-            sigma_events=sigma_events[b],
-            running_sum=ksum.value[b].copy(),
-            k=k_max,
-            seed=seeds[b],
-            visit_counts=None,
-            snapshots=snaps[b],
-            final_theta=path[0, b].copy(),
-            final_sigma=int(sig[b]),
-            final_state=xs[b].copy(),
-        )
-        for b in range(B)
-    ]
+    return lock.traces(path[0], [x.copy() for x in xs])
 
 
 def load_gaussian_toy() -> np.ndarray:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from samcmc import (
+    Box,
     DiscreteNeighbor,
     FiniteChainSpec,
     FiniteStates,
@@ -161,6 +162,12 @@ def test_samc_model_validation():
         FiniteStates(0)
     with pytest.raises(ValueError, match="shape"):
         FiniteStates(3, np.ones((2, 2)) / 2)
+
+
+def test_samc_model_needs_a_finite_space():
+    with pytest.raises(TypeError, match="FiniteStates, got Box"):
+        SamcModel(lambda x: 0.0, lambda x: 1, 2, np.array([0.5, 0.5]),
+                  Box(np.zeros(1), np.ones(1)))
 
 
 def test_from_chain_wires_tables(chain, model):

@@ -17,7 +17,6 @@ from samcmc import (
     load_gaussian_toy,
     run_samle,
     run_samle_batch,
-    samle_step,
 )
 
 YBAR = 0.7409467391596104
@@ -132,20 +131,6 @@ def test_mean_field_descends_squared_error(toy_y):
             continue
         assert -h * h < 0.0
         assert v(theta + 0.01 * h) < v(theta)
-
-
-def test_step_with_zero_gain_only_refreshes_latents():
-    model = flat_model(2, lambda x, theta: np.full(1, 50.0))
-    ladder = TruncationLadder(center=np.zeros(1), reinit_state=np.zeros(2))
-    rng = np.random.default_rng(0)
-    theta = np.array([0.3])
-    x = np.zeros(2)
-    theta2, x2, truncated = samle_step(
-        theta, x, model, RandomWalk(step=1.0), 0.0, 1, GainSchedule(),
-        ladder, rng)
-    assert not truncated
-    np.testing.assert_array_equal(theta2, theta)
-    assert not np.array_equal(x2, x)  # flat law accepts every proposal
 
 
 def test_zero_gradient_leaves_theta_fixed():
