@@ -42,7 +42,7 @@ from .samle import gaussian_location_model, load_gaussian_toy, run_samle
 
 OUTPUT_DIR_ENV = "SAMCMC_OUTPUT_DIR"
 
-MODES = ("samc", "samle", "sa_generic", "oracle", "validate")
+MODES = ("samc", "samle", "oracle", "validate")
 
 _SCHEDULE_KEYS = ("c1", "eta", "c2", "xi", "tau", "alpha")
 _LADDER_KEYS = ("r0", "growth", "theta0", "x0")
@@ -83,9 +83,10 @@ def _require(cond: bool, msg: str):
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
-    Relative file paths inside the config resolve against the config's own
-    directory. The output_dir can be overridden by the SAMCMC_OUTPUT_DIR
-    environment variable; nothing else reads the environment.
+    Relative paths inside the config, output_dir included, resolve against
+    the config's own directory. The output_dir can be overridden by the
+    SAMCMC_OUTPUT_DIR environment variable; nothing else reads the
+    environment.
     """
     path = Path(path)
     if not path.exists():
@@ -162,7 +163,9 @@ def load_config(path) -> ExperimentConfig:
     chain_file = resolve("chain_file")
     data_file = resolve("data_file")
 
-    output_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or raw.get("output_dir", "out"))
+    # unlike the input files, the output directory need not exist yet
+    output_dir = Path(os.environ.get(OUTPUT_DIR_ENV)
+                      or path.parent / raw.get("output_dir", "out"))
 
     return ExperimentConfig(
         mode=mode, schedule=schedule, k_max=k_max, k0=k0,

@@ -74,7 +74,7 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert config.theta0 is None and config.x0 is None
     assert config.seed == 0 and config.replications == 1
     assert config.snapshot_stride == 1000 and config.sweeps == 1
-    assert str(config.output_dir) == "out"
+    assert config.output_dir == tmp_path / "out"
 
 
 def test_invalid_schedule_names_first_failing_clause(tmp_path):
@@ -145,11 +145,24 @@ def test_env_var_overrides_output_dir_only(tmp_path, monkeypatch):
         seed: 3
         output_dir: from_config
     """)
-    assert str(load_config(p).output_dir) == "from_config"
+    assert load_config(p).output_dir == tmp_path / "from_config"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "from_env"))
     config = load_config(p)
     assert config.output_dir == tmp_path / "from_env"
     assert config.seed == 3
+
+
+def test_output_dir_resolves_against_config_directory(tmp_path, capsys,
+                                                     monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    (tmp_path / "cwd").mkdir()
+    write_config(tmp_path / "elsewhere",
+                 "mode: samc\nk_max: 100\noutput_dir: out\n", "c.yaml")
+    monkeypatch.chdir(tmp_path / "cwd")
+    assert main(["run-samc", "../elsewhere/c.yaml"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "elsewhere" / "out" / "trace_samc_0.csv").exists()
+    assert not (tmp_path / "cwd" / "out").exists()
 
 
 # ---------------------------------------------------------------------------
