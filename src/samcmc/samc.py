@@ -50,7 +50,6 @@ class FiniteStates:
                 raise ValueError("proposal matrix shape must match n_states")
 
 
-
 @dataclass(frozen=True)
 class SamcModel:
     """Target description: unnormalized log density, labeling, and weights.
