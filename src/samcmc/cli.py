@@ -41,9 +41,6 @@ def _load(config_path: str):
         print(exc.report, file=sys.stderr)
         print(f"error: {exc}", file=sys.stderr)
         return None, 1
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 2
 
 
 def _cmd_validate(args) -> int:
@@ -52,9 +49,6 @@ def _cmd_validate(args) -> int:
     except ScheduleValidationError as exc:
         print(exc.report)
         return 1
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(validate_schedule(config.schedule))
     return 0
 
@@ -110,7 +104,7 @@ def _cmd_efficiency(args) -> int:
         return rc
     try:
         report = run_replications(config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     paths = write_outputs(report, config.output_dir)
@@ -144,15 +138,20 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a YAML experiment config")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "run-samc":
-        return _cmd_run(args, "samc")
-    if args.command == "run-samle":
-        return _cmd_run(args, "samle")
-    if args.command == "oracle":
-        return _cmd_oracle(args)
-    return _cmd_efficiency(args)
+    # a bad config, a missing or malformed input file: user errors, exit 2
+    try:
+        if args.command == "validate":
+            return _cmd_validate(args)
+        if args.command == "run-samc":
+            return _cmd_run(args, "samc")
+        if args.command == "run-samle":
+            return _cmd_run(args, "samle")
+        if args.command == "oracle":
+            return _cmd_oracle(args)
+        return _cmd_efficiency(args)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

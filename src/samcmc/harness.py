@@ -177,9 +177,12 @@ def load_config(path) -> ExperimentConfig:
 
 def load_chain(config: ExperimentConfig) -> FiniteChainSpec:
     """Chain named by the config, or the packaged ten-state instance."""
-    if config.chain_file is not None:
+    if config.chain_file is None:
+        return chain10()
+    try:
         return load_chain_file(config.chain_file)
-    return chain10()
+    except ValueError as exc:        # the message names the file
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_ladder(config: ExperimentConfig, dim: int, default_state) -> TruncationLadder:

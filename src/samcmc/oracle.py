@@ -23,7 +23,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
-ROW_SUM_TOL = 1e-12
+from .kernels import ROW_SUM_TOL, DiscreteNeighbor
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,12 @@ class FiniteChainSpec:
         if len(present) != m:
             missing = sorted(set(range(1, m + 1)) - set(present.tolist()))
             raise ValueError(f"empty subregions: {missing}")
-        if np.any(self.pi <= 0) or abs(self.pi.sum() - 1.0) > ROW_SUM_TOL:
+        # written so that NaN fails each test
+        if not np.all(np.isfinite(self.log_psi)):
+            raise ValueError("log_psi must be finite")
+        if not (np.all(self.pi > 0) and abs(self.pi.sum() - 1.0) <= ROW_SUM_TOL):
             raise ValueError("pi must be positive and sum to 1")
-        if np.any(self.proposal < 0):
-            raise ValueError("proposal entries must be nonnegative")
-        row_err = np.abs(self.proposal.sum(axis=1) - 1.0).max()
-        if row_err > ROW_SUM_TOL:
-            raise ValueError(f"proposal rows must sum to 1 (max error {row_err:.3g})")
+        DiscreteNeighbor(self.proposal)     # nonnegative, rows sum to 1
 
     @property
     def labels0(self) -> np.ndarray:
@@ -90,32 +89,40 @@ class NoiseCovariance:
 # ---------------------------------------------------------------------------
 
 def load_chain_file(path: str | Path) -> FiniteChainSpec:
+    """Read a chain file; every ValueError it raises names the file."""
     lines = []
     with open(path) as fh:
         for raw in fh:
             stripped = raw.strip()
             if stripped and not stripped.startswith("#"):
                 lines.append(stripped)
+    try:
+        return _parse_chain(lines)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_chain(lines: list[str]) -> FiniteChainSpec:
     if not lines:
-        raise ValueError(f"empty chain file: {path}")
+        raise ValueError("empty chain file")
     first = lines[0].split()
     if len(first) != 2:
-        raise ValueError(f"{path}: line 1 must be 'N m'")
+        raise ValueError("line 1 must be 'N m'")
     n, m = int(first[0]), int(first[1])
     if len(lines) != 4 + n:
-        raise ValueError(f"{path}: expected {4 + n} data lines, found {len(lines)}")
+        raise ValueError(f"expected {4 + n} data lines, found {len(lines)}")
     log_psi = np.array([float(v) for v in lines[1].split()])
     labels = np.array([int(v) for v in lines[2].split()])
     pi = np.array([float(v) for v in lines[3].split()])
     if len(pi) != m:
-        raise ValueError(f"{path}: expected {m} probabilities on line 4")
+        raise ValueError(f"expected {m} probabilities on line 4")
     try:
         proposal = np.loadtxt(lines[4:], ndmin=2, comments=None)
     except ValueError as exc:
-        raise ValueError(f"{path}: proposal rows must hold {n} numbers each "
+        raise ValueError(f"proposal rows must hold {n} numbers each "
                          f"({exc})") from exc
     if proposal.shape != (n, n):
-        raise ValueError(f"{path}: proposal rows must hold {n} numbers each, "
+        raise ValueError(f"proposal rows must hold {n} numbers each, "
                          f"found {proposal.shape[1]}")
     return FiniteChainSpec(n_states=n, log_psi=log_psi, labels=labels,
                            proposal=proposal, pi=pi)

@@ -348,6 +348,13 @@ class SaProblem:
     h_noisy: Callable[[np.ndarray, Any], np.ndarray]
 
 
+def _check_run_args(k_max: int, snapshot_stride: int) -> None:
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if snapshot_stride < 1:
+        raise ValueError("snapshot_stride must be >= 1")
+
+
 def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
            k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
     """Run the varying-truncation recursion for k_max iterations.
@@ -355,8 +362,7 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
     The run starts at (ladder.reinit_theta, ladder.reinit_state) and is
     bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    _check_run_args(k_max, snapshot_stride)
     ladder = replace(ladder)                 # private sigma state for this run
     rng = np.random.default_rng(seed)
     theta = ladder.reinit_theta.copy()
@@ -382,7 +388,7 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
             events.append(k)
         thetas[k - 1] = theta
         acc.add(theta)
-        if snapshot_stride and (k % snapshot_stride == 0 or k == k_max):
+        if k % snapshot_stride == 0 or k == k_max:
             snapshots.append(Snapshot(k=k, theta=theta.copy(), pi_hat=None,
                                       sigma=ladder.sigma, theta_sum=acc.value.copy()))
     return RunTrace(thetas=thetas, sigma_events=events, running_sum=acc.value,
@@ -403,11 +409,10 @@ class Lockstep:
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
                  k_max: int, seeds: Sequence[int], d: int,
                  snapshot_stride: int, store_thetas: bool):
-        if k_max < 1:
-            raise ValueError("k_max must be >= 1")
+        _check_run_args(k_max, snapshot_stride)
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
         self.ladder = replace(ladder)            # private sigma state for this run
-        self.stride = abs(snapshot_stride)
+        self.stride = snapshot_stride
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.sig = np.full(B, self.ladder.sigma, dtype=np.int64)

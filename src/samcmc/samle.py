@@ -13,14 +13,14 @@ x_i | y_i, theta ~ N((theta + y_i)/2, 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import Box, Proposal, RandomWalk, mh_step, reflect_into_box
-from .sa import GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder, run_sa
+from .kernels import Box, Proposal, RandomWalk, reflect_into_box
+from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
 
 CHUNK = 2048
 
@@ -31,17 +31,16 @@ class MissingDataModel:
 
     grad_complete_loglik(x, theta) is the complete-data score at theta;
     predictive_log_density(x, theta) is log f(x | observed data, theta) up
-    to an additive constant. When batched is True both callables must
-    broadcast over a leading batch axis, row by row: a row's value may not
-    depend on the other rows or on how many there are. That unlocks the
-    vectorized multi-chain driver, which may stack rows of several chains
-    or points into one call.
+    to an additive constant. Both take x of shape (rows, dim x) and theta
+    of shape (rows, dim theta) and return (rows, dim theta) gradients and
+    (rows,) log densities, row by row: a row's value may not depend on the
+    other rows or on how many there are, since the lockstep engine stacks
+    rows of several chains or points into one call.
     """
 
     grad_complete_loglik: Callable
     predictive_log_density: Callable
     x_space: Box
-    batched: bool = False
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -65,40 +64,12 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
     """Run one chain for k_max iterations and keep the full parameter path.
 
     sweeps > 1 applies that many MH refreshes to the latent data before
-    each gradient step. Batch-capable models route through the vectorized
-    driver, so a solo run is bit-identical to the matching batch member;
-    other models run through run_sa, refreshing the latents by mh_step.
+    each gradient step. This is the lockstep engine with a single chain,
+    so a solo run is bit-identical to the matching batch member.
     """
-    if model.batched:
-        return run_samle_batch(
-            model, schedule, ladder, k_max, [seed], proposal=proposal,
-            sweeps=sweeps, snapshot_stride=snapshot_stride,
-            store_thetas=True)[0]
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-    proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
-    if ladder.reinit_state is None:
-        raise ValueError("ladder.reinit_state must hold the initial latent data")
-    k = 0           # gradient calls so far; run_sa makes one per iteration
-
-    def refresh(theta, x, rng):
-        for _ in range(sweeps):
-            x, _ = mh_step(
-                x, lambda pt: model.predictive_log_density(pt, theta), proposal, rng)
-        return x
-
-    def gradient(theta, x):
-        nonlocal k
-        k += 1
-        grad = np.asarray(model.grad_complete_loglik(x, theta), dtype=float)
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteGradientError(k, theta, x, grad)
-        return grad
-
-    x0 = np.asarray(ladder.reinit_state, dtype=float)
-    return run_sa(SaProblem(refresh, gradient), schedule,
-                  replace(ladder, reinit_state=x0), k_max, seed,
-                  snapshot_stride=snapshot_stride)
+    return run_samle_batch(model, schedule, ladder, k_max, [seed],
+                           proposal=proposal, sweeps=sweeps,
+                           snapshot_stride=snapshot_stride, store_thetas=True)[0]
 
 
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
@@ -125,7 +96,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     seeds: Sequence[int], *, proposal: Proposal | None = None,
                     sweeps: int = 1, snapshot_stride: int = 1000,
                     store_thetas: bool = False) -> list[RunTrace]:
-    """Run many chains in lockstep; needs a batch-capable model.
+    """Run many chains in lockstep with vectorized arithmetic.
 
     Chain b consumes only default_rng(seeds[b]). Per block of CHUNK
     iterations each chain draws its proposal normals first (one
@@ -137,8 +108,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     and folded into the compensated running sum at every snapshot and when
     the block ends.
     """
-    if not model.batched:
-        raise ValueError("run_samle_batch needs a model with batched=True")
     lock = Lockstep(schedule, ladder, k_max, seeds, ladder.reinit_theta.size,
                     snapshot_stride, store_thetas)
     if sweeps < 1:
@@ -291,5 +260,4 @@ def gaussian_location_model(y: np.ndarray) -> MissingDataModel:
         grad_complete_loglik=grad,
         predictive_log_density=predictive,
         x_space=Box(-bound, bound),
-        batched=True,
     )

@@ -449,3 +449,18 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sum (a_i/b_i)^alpha < infinity" in err
     assert "error: invalid gain schedule" in err
+
+
+@pytest.mark.parametrize("command, mode", [("run-samc", "samc"),
+                                           ("oracle", "oracle")])
+def test_cli_reports_malformed_chain_file(tmp_path, capsys, command, mode):
+    path = tmp_path / "chain.txt"
+    dump_chain_file(chain10(), path)
+    lines = path.read_text().splitlines()
+    lines[3] = "nan " + lines[3].split(" ", 1)[1]      # the pi line
+    path.write_text("\n".join(lines) + "\n")
+    p = write_config(tmp_path, f"mode: {mode}\nk_max: 10\nchain_file: chain.txt\n"
+                               f"output_dir: {tmp_path / 'out'}\n")
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: pi must be positive and sum to 1\n")

@@ -326,6 +326,22 @@ def test_load_chain_file_rejects_ragged_proposal_row(tmp_path, chain):
         load_chain_file(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    (2, "log_psi must be finite"),
+    (4, "pi must be positive"),
+    (6, "proposal rows must sum to 1"),
+])
+def test_load_chain_file_rejects_nan(tmp_path, chain, line, message):
+    # line 2 holds log psi, line 4 pi and lines 5.. the proposal rows
+    path = tmp_path / "nan.txt"
+    dump_chain_file(chain, path)
+    lines = path.read_text().splitlines()
+    lines[line - 1] = "nan " + lines[line - 1].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"nan.txt: {message}"):
+        load_chain_file(path)
+
+
 def test_spec_rejects_empty_subregion():
     with pytest.raises(ValueError, match="empty subregions"):
         FiniteChainSpec(

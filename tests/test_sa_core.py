@@ -11,10 +11,16 @@ from samcmc import (
     NonFiniteIterateError,
     RunTrace,
     SaProblem,
+    SamcModel,
     Snapshot,
     TruncationLadder,
+    chain10,
     gain_at,
+    gaussian_location_model,
+    load_gaussian_toy,
     run_sa,
+    run_samc_batch,
+    run_samle_batch,
     threshold_at,
     trajectory_average,
     truncation_decide,
@@ -251,6 +257,36 @@ def test_run_sa_golden_digests():
     assert tight.sigma_events == [2, 5]
     assert trace_digest(plain) == GOLDEN_RUN_SA
     assert trace_digest(tight) == GOLDEN_RUN_SA_TRUNCATING
+
+
+def run_sa_with(stride):
+    problem = SaProblem(sample_step=lambda th, x, rng: x,
+                        h_noisy=lambda th, x: -th)
+    run_sa(problem, GainSchedule(),
+           TruncationLadder(center=np.zeros(1), reinit_state=0.0),
+           10, seed=0, snapshot_stride=stride)
+
+
+def run_samc_batch_with(stride):
+    run_samc_batch(SamcModel.from_chain(chain10()), GainSchedule(),
+                   TruncationLadder(center=np.zeros(2), reinit_state=0),
+                   10, [0, 1], snapshot_stride=stride)
+
+
+def run_samle_batch_with(stride):
+    y = load_gaussian_toy()
+    run_samle_batch(gaussian_location_model(y), GainSchedule(),
+                    TruncationLadder(center=np.zeros(1), reinit_state=y),
+                    10, [0, 1], snapshot_stride=stride)
+
+
+@pytest.mark.parametrize("engine", [run_sa_with, run_samc_batch_with,
+                                    run_samle_batch_with])
+@pytest.mark.parametrize("stride", [0, -3])
+def test_engines_reject_snapshot_stride_below_one(engine, stride):
+    engine(1)
+    with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
+        engine(stride)
 
 
 def make_trace(thetas, snapshot_at=()):

@@ -23,7 +23,9 @@ from samcmc import (
     run_samc_batch,
     samc_log_ratio,
     samc_update,
+    stationary_dist,
     threshold_at,
+    transition_matrix,
     trial_log_density,
     truncation_decide,
     visit_freq,
@@ -42,6 +44,18 @@ def chain():
 @pytest.fixture(scope="module")
 def model(chain):
     return SamcModel.from_chain(chain)
+
+
+@pytest.fixture(scope="module")
+def m1_model(chain):
+    """chain10 as one subregion: SAMC at m = 1 is plain MH on psi."""
+    return SamcModel(
+        log_psi=lambda x: float(chain.log_psi[x]),
+        classify=lambda x: 1,
+        m=1,
+        pi=np.array([1.0]),
+        space=FiniteStates(chain.n_states, chain.proposal),
+    )
 
 
 def uniform_model(n, m):
@@ -249,20 +263,27 @@ def test_engine_rejects_nonreversible_proposal():
         run_samc(model, GainSchedule(), ladder, 10, seed=0)
 
 
-def test_run_m1_is_plain_mh(chain):
-    model = SamcModel(
-        log_psi=lambda x: float(chain.log_psi[x]),
-        classify=lambda x: 1,
-        m=1,
-        pi=np.array([1.0]),
-        space=FiniteStates(chain.n_states, chain.proposal),
-    )
+def test_run_m1_is_plain_mh(m1_model):
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
-    trace = run_samc(model, GainSchedule(), ladder, 500, seed=0)
+    trace = run_samc(m1_model, GainSchedule(), ladder, 500, seed=0)
     assert trace.thetas.shape == (500, 0)
     np.testing.assert_array_equal(trace.visit_counts, [500])
     assert trace.sigma_events == []
     assert trace.final_sigma == 0
+
+
+def test_finite_chain_occupation_matches_stationary(chain, m1_model):
+    # 40000 chains of 64 steps from state 0 end in the stationary law up
+    # to an exact distance of about 1e-15, so the tally of final states
+    # must match it within TV 0.01
+    ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
+    n = 40000
+    traces = run_samc_batch(m1_model, GainSchedule(), ladder, 64, range(n))
+    counts = np.bincount([t.final_state for t in traces],
+                         minlength=chain.n_states)
+    f = stationary_dist(transition_matrix(chain, np.zeros(2)))
+    tv = 0.5 * np.abs(counts / n - f).sum()
+    assert tv < 0.01
 
 
 def test_batch_member_matches_solo_run(model):
@@ -506,16 +527,9 @@ def test_random_chain_golden_digests_and_solo_runs():
         assert samc_digest(solo) == samc_digest(member)
 
 
-def test_m1_chain_golden_digests(chain):
-    model = SamcModel(
-        log_psi=lambda x: float(chain.log_psi[x]),
-        classify=lambda x: 1,
-        m=1,
-        pi=np.array([1.0]),
-        space=FiniteStates(chain.n_states, chain.proposal),
-    )
+def test_m1_chain_golden_digests(m1_model):
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
-    traces = run_samc_batch(model, GainSchedule(), ladder, 10_000, [8, 9],
+    traces = run_samc_batch(m1_model, GainSchedule(), ladder, 10_000, [8, 9],
                             store_thetas=True)
     assert digests(traces) == GOLDEN_M1
 

@@ -1,7 +1,6 @@
 """Missing-data maximum likelihood driver and the Gaussian location toy."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,13 +36,6 @@ GOLDEN_NARROW_BOX = {
     7: "e63d35801ff7c5e9afbda16d64545b9064cc311271cfc888988ffde3f617e772",
     8: "12a4afaa8d094df972e09449d1763c7e4f7887450aafd161fce2775c87226410",
 }
-# the same fixtures run solo on the scalar path (batched=False); computed
-# from the scalar loop that run_samle had before it was routed through
-# run_sa, and kept since
-GOLDEN_SCALAR_TIGHT_LADDER = (
-    "379059d6ba359d28bd0a105f1b84827ebb37d836de3acb4339d535ccfa81e5e9")
-GOLDEN_SCALAR_NARROW_BOX = (
-    "a4afa63cfe82a6fe96bc1796ba2078bd0796e96249e86e24ca306334f7306e35")
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +44,13 @@ def toy_y():
 
 
 def flat_model(n, grad):
-    """Scalar-path model with a flat latent law and a fixed gradient rule."""
+    """Model with a flat latent law and a gradient rule applied row by row."""
     bound = np.full(n, 1e100)
     return MissingDataModel(
-        grad_complete_loglik=grad,
-        predictive_log_density=lambda x, theta: 0.0,
+        grad_complete_loglik=lambda xs, thetas: np.array(
+            [grad(x, theta) for x, theta in zip(xs, thetas)]),
+        predictive_log_density=lambda xs, thetas: np.zeros(len(xs)),
         x_space=Box(-bound, bound),
-        batched=False,
     )
 
 
@@ -79,7 +71,6 @@ def narrow_box_model(y):
         grad_complete_loglik=base.grad_complete_loglik,
         predictive_log_density=base.predictive_log_density,
         x_space=Box(y - 0.5, y + 0.5),
-        batched=True,
     )
 
 
@@ -179,7 +170,6 @@ def test_engine_survives_unbounded_sigma(toy_y):
         grad_complete_loglik=lambda x, th: np.full((x.shape[0], 1), 100.0),
         predictive_log_density=base.predictive_log_density,
         x_space=base.x_space,
-        batched=True,
     )
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5,
                               reinit_state=toy_y.copy())
@@ -190,7 +180,7 @@ def test_engine_survives_unbounded_sigma(toy_y):
     assert np.all(trace.thetas == 0.0)
 
 
-def test_nonfinite_gradient_aborts_scalar_path():
+def test_nonfinite_gradient_aborts_solo_run():
     model = flat_model(1, lambda x, theta: np.array([np.inf]))
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=np.zeros(1))
     with pytest.raises(NonFiniteGradientError,
@@ -205,7 +195,6 @@ def test_nonfinite_gradient_aborts_batch_path(toy_y):
         grad_complete_loglik=lambda x, th: np.full((x.shape[0], 1), np.nan),
         predictive_log_density=base.predictive_log_density,
         x_space=base.x_space,
-        batched=True,
     )
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
     with pytest.raises(NonFiniteGradientError, match="iteration 1"):
@@ -219,9 +208,6 @@ def test_argument_validation(toy_y):
         run_samle(model, GainSchedule(), ladder, 0, seed=0)
     with pytest.raises(ValueError, match="sweeps"):
         run_samle(model, GainSchedule(), ladder, 10, seed=0, sweeps=0)
-    with pytest.raises(ValueError, match="batched=True"):
-        run_samle_batch(flat_model(1, lambda x, th: np.zeros(1)),
-                        GainSchedule(), ladder, 10, seeds=[0, 1])
 
 
 def test_batch_member_matches_solo_run(toy_y):
@@ -313,33 +299,3 @@ def test_batch_engine_reflects_at_narrow_box_walls(toy_y):
     wide = run(gaussian_location_model(toy_y))
     for t, w in zip(traces, wide):
         assert not np.array_equal(t.final_state, w.final_state)
-
-
-def test_scalar_path_golden_digests(toy_y):
-    # the toy fixtures with batched=False run the scalar path, which draws
-    # through mh_step; a tight ladder truncates and a narrow box reflects
-    schedule = GainSchedule(c1=0.1)
-    model = replace(gaussian_location_model(toy_y), batched=False)
-    tight = run_samle(
-        model, schedule,
-        TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
-                         reinit_state=toy_y.copy()),
-        4000, seed=5, sweeps=2, snapshot_stride=500)
-    assert tight.sigma_events == [1, 2, 4, 914]
-    assert trace_digest(tight) == GOLDEN_SCALAR_TIGHT_LADDER
-
-    boxed = replace(narrow_box_model(toy_y), batched=False)
-
-    def run(m):
-        return run_samle(
-            m, schedule,
-            TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy()),
-            4000, seed=7, sweeps=2,
-            proposal=RandomWalk(step=0.4, bounds=m.x_space),
-            snapshot_stride=500)
-
-    narrow = run(boxed)
-    assert boxed.x_space.contains(narrow.final_state)
-    assert trace_digest(narrow) == GOLDEN_SCALAR_NARROW_BOX
-    wide = run(model)
-    assert not np.array_equal(narrow.final_state, wide.final_state)
