@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -185,6 +186,27 @@ def load_chain(config: ExperimentConfig) -> FiniteChainSpec:
         raise ConfigError(str(exc)) from exc
 
 
+def load_data(config: ExperimentConfig) -> np.ndarray:
+    """Observations named by the config, or the packaged Gaussian fixture."""
+    if config.data_file is None:
+        return load_gaussian_toy()
+    path = config.data_file
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # an empty file is rejected below
+            y = np.loadtxt(path, comments="#", ndmin=1)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if y.size == 0:
+        raise ConfigError(f"{path}: no observations")
+    if y.ndim != 1:
+        raise ConfigError(f"{path}: expected one column of observations, "
+                          f"found {y.shape[1]}")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"{path}: observations must be finite")
+    return y
+
+
 def _build_ladder(config: ExperimentConfig, dim: int, default_state) -> TruncationLadder:
     theta0 = config.theta0 if config.theta0 is not None else np.zeros(dim)
     if theta0.shape != (dim,):
@@ -206,8 +228,7 @@ def run_single(config: ExperimentConfig):
                          config.seed, snapshot_stride=config.snapshot_stride)
         summary = _summarize(trace, config, pi=chain.pi)
     elif config.mode == "samle":
-        y = (load_gaussian_toy() if config.data_file is None
-             else np.loadtxt(config.data_file, comments="#", ndmin=1))
+        y = load_data(config)
         model = gaussian_location_model(y)
         ladder = _build_ladder(config, 1, y)
         proposal = RandomWalk(step=config.proposal_step or 1.0,

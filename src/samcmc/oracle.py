@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .kernels import ROW_SUM_TOL, DiscreteNeighbor
 
@@ -173,11 +170,15 @@ def theta_star(omega: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _region_ratios(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """All m ratios S_i/S where S_i = omega_i * exp(-theta_i), theta_m = 0.
 
-    Computed entirely in log space so huge thetas cannot overflow.
+    Exponentiated after a shift by the largest log S_i, so huge thetas
+    cannot overflow, then divided by their sum, so the ratios sum to 1
+    within rounding at any theta. Subtracting a log-sum-exp instead puts
+    its rounding, which grows with |theta|, into every exponent.
     """
     theta_ext = np.append(np.asarray(theta, dtype=float), 0.0)
     log_s = np.log(np.asarray(omega, dtype=float)) - theta_ext
-    return np.exp(log_s - logsumexp(log_s))
+    s = np.exp(log_s - log_s.max())
+    return s / s.sum()
 
 
 def mean_field(theta: np.ndarray, omega: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -236,12 +237,24 @@ def transition_matrix(chain: FiniteChainSpec, theta: np.ndarray) -> np.ndarray:
     return p
 
 
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether every state is reachable from state 0 along boolean edges."""
+    seen = np.zeros(len(edges), dtype=bool)
+    seen[0] = True
+    frontier = seen
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
+
+
 def stationary_dist(p: np.ndarray) -> np.ndarray:
     """Stationary probability vector of an irreducible row-stochastic matrix."""
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
-    n_comp, _ = connected_components(csr_matrix(p > 0), connection="strong")
-    if n_comp != 1:
+    # irreducible: state 0 reaches every state and every state reaches 0
+    edges = p > 0
+    if n == 0 or not (_reaches_all(edges) and _reaches_all(edges.T)):
         raise ValueError("kernel not irreducible")
     # f P = f with sum(f) = 1: replace one redundant balance row by the
     # normalization constraint.

@@ -464,3 +464,21 @@ def test_cli_reports_malformed_chain_file(tmp_path, capsys, command, mode):
     assert main([command, str(p)]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: pi must be positive and sum to 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1.0\nnan\n2.0\n", "observations must be finite"),
+    ("1.0\nabc\n", "could not convert string 'abc'"),
+    ("# no data\n", "no observations"),
+    ("1 2\n3 4\n", "expected one column of observations, found 2"),
+], ids=["nan", "non-numeric", "empty", "two-columns"])
+def test_cli_reports_bad_data_file(tmp_path, capsys, text, message):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    p = write_config(tmp_path, f"mode: samle\nk_max: 2000\ndata_file: data.txt\n"
+                               f"output_dir: {tmp_path / 'out'}\n")
+    assert main(["run-samle", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and message in err, err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()

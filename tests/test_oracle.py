@@ -7,6 +7,10 @@ probabilities are (6, 15, 34)/55.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from samcmc import (
     transition_matrix,
     visit_indicator_table,
 )
+from samcmc.oracle import _region_ratios
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
 
@@ -79,6 +84,45 @@ def test_mean_field_is_stationary_average(chain):
         f = stationary_dist(transition_matrix(chain, theta))
         np.testing.assert_allclose(f @ table, mean_field(theta, omega, chain.pi),
                                    rtol=0, atol=1e-12)
+
+
+def fsum_ratios(theta, omega):
+    """S_i/S in Python floats: math.exp of the shifted logs over their fsum."""
+    log_s = np.log(omega) - np.append(theta, 0.0)
+    top = max(log_s)
+    terms = [math.exp(v - top) for v in log_s]
+    total = math.fsum(terms)
+    return np.array([t / total for t in terms])
+
+
+def extreme_thetas(rng):
+    huge = [np.array([s1, s2]) * 1e300 for s1 in (1, -1) for s2 in (1, -1)]
+    # (-1e16, -1e16) ties two huge terms; a log-sum-exp made them sum to 2
+    mixed = [np.array([1e300, 0.0]), np.array([-1e300, 3.0]),
+             np.array([-700.0, 700.0]), np.array([1e4, -1e4]),
+             np.array([-1e16, -1e16]), np.array([-1e14, -1e14])]
+    drawn = [THETA_STAR + rng.normal(0.0, 5.0, 2) for _ in range(200)]
+    return huge + mixed + drawn
+
+
+def test_region_ratios_finite_normalised_and_match_fsum(chain):
+    """The max shift keeps S_i/S finite for any theta and within ulps of fsum."""
+    omega = exact_omega(chain)
+    eps = np.finfo(float).eps
+    for theta in extreme_thetas(np.random.default_rng(20)):
+        p = _region_ratios(theta, omega)
+        ref = fsum_ratios(theta, omega)
+        assert np.all(np.isfinite(p)), theta
+        assert abs(p.sum() - 1.0) <= 1e-15, (theta, p.sum() - 1.0)
+        assert np.all(np.abs(p - ref) <= 4 * np.spacing(ref)), (theta, p - ref)
+        h = mean_field(theta, omega, chain.pi)
+        fmat = jacobian(theta, omega, chain.pi)
+        assert np.all(np.isfinite(h)) and np.all(np.isfinite(fmat)), theta
+        np.testing.assert_allclose(h, ref[:-1] - chain.pi[:-1], rtol=0,
+                                   atol=4 * eps, err_msg=str(theta))
+        np.testing.assert_allclose(
+            fmat, np.outer(ref[:-1], ref[:-1]) - np.diag(ref[:-1]), rtol=0,
+            atol=4 * eps, err_msg=str(theta))
 
 
 def test_jacobian_at_zero(chain):
@@ -184,6 +228,72 @@ def test_stationary_dist_rejects_reducible_kernel():
     p[2, 3] = p[3, 2] = 1.0
     with pytest.raises(ValueError, match="not irreducible"):
         stationary_dist(p)
+
+
+@pytest.mark.parametrize("p", [
+    # 0 -> 1 -> 2 and 2 is absorbing: all reachable from 0, 0 from none
+    [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+    # state 0 is transient: it feeds the closed class {1, 2} and is never revisited
+    [[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],
+], ids=["one-way", "transient-start"])
+def test_stationary_dist_rejects_kernel_that_never_returns_to_state_0(p):
+    with pytest.raises(ValueError, match="not irreducible"):
+        stationary_dist(np.array(p))
+
+
+def closure_is_full(edges):
+    """Transitive closure by boolean powers of I + E: every pair connected?"""
+    n = len(edges)
+    reach = (np.eye(n, dtype=int) + edges) > 0
+    for _ in range(max(1, math.ceil(math.log2(n)))):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    return bool(reach.all())
+
+
+def random_sparse_kernel(seed):
+    """A row-stochastic kernel on 2..60 states; irreducible about half the time."""
+    rng = np.random.default_rng([seed, 5])
+    n = int(rng.integers(2, 61))
+    edges = rng.random((n, n)) < rng.uniform(0.0, 2.0) / n
+    if rng.random() < 0.5:                  # a ring through a random order
+        order = rng.permutation(n)
+        edges[order, np.roll(order, -1)] = True
+    np.fill_diagonal(edges, True)           # rows need mass; loops don't connect
+    weights = np.where(edges, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+    return n, edges, weights / weights.sum(axis=1, keepdims=True)
+
+
+def test_stationary_dist_irreducibility_matches_transitive_closure():
+    wrong, reducible = [], 0
+    seeds = range(300)
+    for seed in seeds:
+        n, edges, p = random_sparse_kernel(seed)
+        expected = closure_is_full(edges)
+        reducible += not expected
+        try:
+            f = stationary_dist(p)
+        except ValueError as exc:
+            assert "not irreducible" in str(exc)
+            if expected:
+                wrong.append(f"seed {seed}, N={n}: irreducible kernel rejected")
+            continue
+        if not expected:
+            wrong.append(f"seed {seed}, N={n}: reducible kernel accepted")
+        elif np.abs(f @ p - f).max() > 1e-12:
+            wrong.append(f"seed {seed}, N={n}: f P != f")
+    assert not wrong, "\n".join(wrong)
+    assert 0.3 <= reducible / len(seeds) <= 0.7, reducible
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, samcmc, samcmc.cli; "
+            "print(' '.join(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == [], f"scipy modules loaded: {out.split()}"
 
 
 def test_visit_indicator_table(chain):
