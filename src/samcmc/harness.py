@@ -21,7 +21,6 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .kernels import RandomWalk
 from .oracle import (
     FiniteChainSpec,
     chain10,
@@ -39,7 +38,7 @@ from .sa import (
     validate_schedule,
 )
 from .samc import SamcModel, omega_hat, run_samc, run_samc_batch, visit_freq
-from .samle import gaussian_location_model, load_gaussian_toy, run_samle
+from .samle import RandomWalk, gaussian_location_model, load_gaussian_toy, run_samle
 
 OUTPUT_DIR_ENV = "SAMCMC_OUTPUT_DIR"
 
@@ -79,6 +78,15 @@ class ExperimentConfig:
 def _require(cond: bool, msg: str):
     if not cond:
         raise ConfigError(msg)
+
+
+def _integer(value, name: str) -> int:
+    """An integer config value; a float counts only when it is integral."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    _require(isinstance(value, int) and not isinstance(value, bool),
+             f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path) -> ExperimentConfig:
@@ -130,20 +138,25 @@ def load_config(path) -> ExperimentConfig:
     theta0 = ladder_raw.get("theta0")
     if theta0 is not None:
         theta0 = np.asarray(theta0, dtype=float)
-        _require(theta0.ndim == 1, f"{path}: ladder theta0 must be a flat list")
+        _require(theta0.ndim == 1 and np.all(np.isfinite(theta0)),
+                 f"{path}: ladder theta0 must be a flat list of finite numbers")
     x0 = ladder_raw.get("x0")
 
+    def integer(key: str, default=None) -> int:
+        return _integer(raw.get(key, default), f"{path}: {key}")
+
     _require("k_max" in raw, f"{path}: missing required key 'k_max'")
-    k_max = int(raw["k_max"])
+    k_max = integer("k_max")
     _require(k_max >= 1, f"{path}: k_max must be >= 1")
-    k0 = int(raw.get("k0", k_max // 10))
+    k0 = integer("k0", k_max // 10)
     _require(0 <= k0 < k_max, f"{path}: need 0 <= k0 < k_max, got k0={k0}")
-    replications = int(raw.get("replications", 1))
+    replications = integer("replications", 1)
     _require(replications >= 1, f"{path}: replications must be >= 1")
-    seed = int(raw.get("seed", 0))
-    snapshot_stride = int(raw.get("snapshot_stride", 1000))
+    seed = integer("seed", 0)
+    _require(seed >= 0, f"{path}: seed must be >= 0")
+    snapshot_stride = integer("snapshot_stride", 1000)
     _require(snapshot_stride >= 1, f"{path}: snapshot_stride must be >= 1")
-    sweeps = int(raw.get("sweeps", 1))
+    sweeps = integer("sweeps", 1)
     _require(sweeps >= 1, f"{path}: sweeps must be >= 1")
     proposal_step = raw.get("proposal_step")
     if proposal_step is not None:
@@ -207,14 +220,30 @@ def load_data(config: ExperimentConfig) -> np.ndarray:
     return y
 
 
-def _build_ladder(config: ExperimentConfig, dim: int, default_state) -> TruncationLadder:
+def _build_ladder(config: ExperimentConfig, dim: int, state) -> TruncationLadder:
     theta0 = config.theta0 if config.theta0 is not None else np.zeros(dim)
     if theta0.shape != (dim,):
         raise ConfigError(
             f"ladder theta0 has {theta0.size} components, expected {dim}")
-    state = config.x0 if config.x0 is not None else default_state
     return TruncationLadder(center=theta0, r0=config.r0, growth=config.growth,
                             reinit_state=state)
+
+
+def _samc_ladder(config: ExperimentConfig, chain: FiniteChainSpec) -> TruncationLadder:
+    x0 = _integer(0 if config.x0 is None else config.x0, "ladder x0")
+    _require(0 <= x0 < chain.n_states,
+             f"ladder x0 must be a state in 0..{chain.n_states - 1}, got {x0}")
+    return _build_ladder(config, chain.m - 1, x0)
+
+
+def _samle_ladder(config: ExperimentConfig, y: np.ndarray) -> TruncationLadder:
+    try:
+        x0 = np.array(y if config.x0 is None else config.x0, dtype=float)
+    except (TypeError, ValueError):
+        x0 = None
+    _require(x0 is not None and x0.shape == y.shape and np.all(np.isfinite(x0)),
+             f"ladder x0 must list {y.size} finite latent values, one per observation")
+    return _build_ladder(config, 1, x0)
 
 
 def run_single(config: ExperimentConfig):
@@ -223,14 +252,14 @@ def run_single(config: ExperimentConfig):
     if config.mode == "samc":
         chain = load_chain(config)
         model = SamcModel.from_chain(chain)
-        ladder = _build_ladder(config, chain.m - 1, 0)
+        ladder = _samc_ladder(config, chain)
         trace = run_samc(model, config.schedule, ladder, config.k_max,
                          config.seed, snapshot_stride=config.snapshot_stride)
         summary = _summarize(trace, config, pi=chain.pi)
     elif config.mode == "samle":
         y = load_data(config)
         model = gaussian_location_model(y)
-        ladder = _build_ladder(config, 1, y)
+        ladder = _samle_ladder(config, y)
         proposal = RandomWalk(step=config.proposal_step or 1.0,
                               bounds=model.x_space)
         trace = run_samle(model, config.schedule, ladder, config.k_max,
@@ -302,7 +331,7 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
     start = time.perf_counter()
     chain = load_chain(config)
     model = SamcModel.from_chain(chain)
-    ladder = _build_ladder(config, chain.m - 1, 0)
+    ladder = _samc_ladder(config, chain)
     seeds = [config.seed + r for r in range(R)]
     traces = run_samc_batch(model, config.schedule, ladder, config.k_max,
                             seeds, snapshot_stride=config.snapshot_stride,

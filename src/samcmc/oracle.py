@@ -9,7 +9,7 @@ the Poisson-equation solution, and the limiting noise covariance Q together
 with the sandwich covariance Gamma = F^-1 Q F^-T of the averaged iterates.
 
 States are 0-based indices into the tables; subregion labels are 1-based
-(1..m) to match the file format and the sampler's classifier convention.
+(1..m) to match the file format and the sampler's labels.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import ROW_SUM_TOL, DiscreteNeighbor
+ROW_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class FiniteChainSpec:
-    """A finite sample space: log-density table, partition labels, proposal."""
+    """A SAMC target: log-density table, partition labels, proposal, and pi.
+
+    Every check is written so that NaN fails it.
+    """
 
     n_states: int
     log_psi: np.ndarray        # (N,) log of the unnormalized density
@@ -54,12 +57,15 @@ class FiniteChainSpec:
         if len(present) != m:
             missing = sorted(set(range(1, m + 1)) - set(present.tolist()))
             raise ValueError(f"empty subregions: {missing}")
-        # written so that NaN fails each test
         if not np.all(np.isfinite(self.log_psi)):
             raise ValueError("log_psi must be finite")
         if not (np.all(self.pi > 0) and abs(self.pi.sum() - 1.0) <= ROW_SUM_TOL):
             raise ValueError("pi must be positive and sum to 1")
-        DiscreteNeighbor(self.proposal)     # nonnegative, rows sum to 1
+        if np.any(self.proposal < 0):
+            raise ValueError("proposal entries must be nonnegative")
+        row_err = np.abs(self.proposal.sum(axis=1) - 1.0).max()
+        if not row_err <= ROW_SUM_TOL:
+            raise ValueError(f"proposal rows must sum to 1 (max error {row_err:.3g})")
 
     @property
     def labels0(self) -> np.ndarray:

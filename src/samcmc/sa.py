@@ -40,11 +40,12 @@ class GainSchedule:
     alpha: float = 10.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("gain and threshold scales must be positive")
+        # written so that NaN fails each test
+        if not (0 < self.c1 < np.inf and 0 < self.c2 < np.inf):
+            raise ValueError("gain and threshold scales must be positive and finite")
         if not 0 < self.tau <= 1:
             raise ValueError("tau must lie in (0, 1]")
-        if self.alpha < 2:
+        if not self.alpha >= 2:
             raise ValueError("alpha must be >= 2")
 
     @classmethod
@@ -181,9 +182,10 @@ class TruncationLadder:
 
     def __post_init__(self):
         self.center = np.atleast_1d(np.asarray(self.center, dtype=float))
-        if self.r0 <= 0:
+        # written so that NaN fails each test
+        if not self.r0 > 0:
             raise ValueError("r0 must be positive")
-        if self.growth <= 1:
+        if not self.growth > 1:
             raise ValueError("growth must exceed 1")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
@@ -191,7 +193,10 @@ class TruncationLadder:
             self.reinit_theta = self.center.copy()
         else:
             self.reinit_theta = np.atleast_1d(np.asarray(self.reinit_theta, dtype=float))
-        if np.linalg.norm(self.reinit_theta - self.center) > self.r0:
+        if not (np.all(np.isfinite(self.center))
+                and np.all(np.isfinite(self.reinit_theta))):
+            raise ValueError("center and reinit_theta must be finite")
+        if not np.linalg.norm(self.reinit_theta - self.center) <= self.r0:
             raise ValueError("reinit_theta must lie in the base ball K_0")
 
     def radius_at(self, s: int) -> float:

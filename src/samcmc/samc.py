@@ -13,12 +13,11 @@ is bit-for-bit reproducible chain by chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .kernels import DiscreteNeighbor, Proposal
 from .oracle import FiniteChainSpec
 from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
 
@@ -34,69 +33,60 @@ FOLD_CELLS = 16384
 
 
 @dataclass(frozen=True)
-class FiniteStates:
-    """Sample space 0..n_states-1 with an optional default proposal matrix."""
-
-    n_states: int
-    proposal: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("n_states must be >= 1")
-        if self.proposal is not None:
-            object.__setattr__(
-                self, "proposal", np.asarray(self.proposal, dtype=float))
-            if self.proposal.shape != (self.n_states, self.n_states):
-                raise ValueError("proposal matrix shape must match n_states")
-
-
-@dataclass(frozen=True)
 class SamcModel:
-    """Target description: unnormalized log density, labeling, and weights.
+    """A finite chain and the engine's tables for it, built once.
 
-    log_psi(x) and classify(x) must be pure functions; classify returns a
-    1-based label in 1..m. pi is the desired visiting distribution.
+    cdf holds the proposal's row cdfs. ratio_table holds the log MH ratio
+    of the unweighted target over ordered state pairs; entries for pairs
+    with no proposal mass are never read. Label j moves theta by a times
+    steps[j-1], the update row extended by the pinned component, whose
+    step is 0; row_norm is the largest norm of a row's free part.
     """
 
-    log_psi: Callable
-    classify: Callable
-    m: int
-    pi: np.ndarray
-    space: FiniteStates
+    chain: FiniteChainSpec
+    cdf: np.ndarray = field(init=False, repr=False)
+    ratio_table: np.ndarray = field(init=False, repr=False)
+    steps: np.ndarray = field(init=False, repr=False)
+    row_norm: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.space, FiniteStates):
-            raise TypeError("space must be FiniteStates, got "
-                            f"{type(self.space).__name__}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        pi = np.asarray(self.pi, dtype=float)
-        object.__setattr__(self, "pi", pi)
-        if pi.shape != (self.m,):
-            raise ValueError(f"pi must have shape ({self.m},)")
-        if np.any(pi <= 0):
-            raise ValueError("pi must be strictly positive")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValueError("pi must sum to 1")
+        q, log_psi, m = self.chain.proposal, self.chain.log_psi, self.chain.m
+        bad = (q > 0) & (q.T == 0)
+        if bad.any():
+            x_bad, y_bad = map(int, np.argwhere(bad)[0])
+            raise ValueError(
+                f"non-reversible proposal pair: q({x_bad},{y_bad}) > 0 "
+                f"but q({y_bad},{x_bad}) = 0")
+        cdf = np.cumsum(q, axis=1)
+        cdf[:, -1] = 1.0
+        log_q = np.where(q > 0, np.log(np.maximum(q, 1e-300)), -np.inf)
+        # the broadcast order matches the per-step arithmetic bit for bit
+        with np.errstate(invalid="ignore"):
+            ratio_table = (log_psi[None, :] - log_psi[:, None] + log_q.T) - log_q
+        # row j: the indicator of label j+1 less pi, over all m components
+        full = np.eye(m) - self.chain.pi
+        assert np.abs(full.sum(axis=1)).max() < 1e-12
+        assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
+        steps = full.copy()
+        steps[:, -1] = 0.0
+        free = steps[:, : m - 1]
+        object.__setattr__(self, "cdf", cdf)
+        object.__setattr__(self, "ratio_table", ratio_table)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "row_norm",
+                           float(np.sqrt((free * free).sum(axis=1)).max()))
 
     @classmethod
     def from_chain(cls, chain: FiniteChainSpec) -> "SamcModel":
-        log_psi = chain.log_psi
-        labels = chain.labels
+        return cls(chain)
 
-        def log_psi_fn(x: int) -> float:
-            return float(log_psi[x])
+    @property
+    def m(self) -> int:
+        return self.chain.m
 
-        def classify_fn(x: int) -> int:
-            return int(labels[x])
-
-        return cls(
-            log_psi=log_psi_fn,
-            classify=classify_fn,
-            m=chain.m,
-            pi=chain.pi,
-            space=FiniteStates(chain.n_states, chain.proposal),
-        )
+    @property
+    def pi(self) -> np.ndarray:
+        return self.chain.pi
 
 
 @dataclass(frozen=True)
@@ -139,8 +129,8 @@ def _as_theta(theta, m: int) -> SamcTheta:
 def trial_log_density(model: SamcModel, theta, x) -> float:
     """Log of the reweighted target psi(x) exp(-theta^(j(x))), unnormalized."""
     th = _as_theta(theta, model.m)
-    j = model.classify(x)
-    return float(model.log_psi(x)) - th.component(j)
+    chain = model.chain
+    return float(chain.log_psi[x]) - th.component(int(chain.labels[x]))
 
 
 def samc_log_ratio(theta, m: int, j_x: int, j_y: int,
@@ -202,25 +192,14 @@ def visit_freq(trace: RunTrace) -> np.ndarray:
     return trace.visit_counts / trace.k
 
 
-def _tabulate(model: SamcModel) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate log_psi and classify over a finite space once, up front."""
-    n = model.space.n_states
-    log_psi = np.array([float(model.log_psi(x)) for x in range(n)])
-    labels = np.array([int(model.classify(x)) for x in range(n)], dtype=np.int64)
-    if labels.min() < 1 or labels.max() > model.m:
-        raise ValueError("classify must return labels in 1..m")
-    return log_psi, labels
-
-
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
-             k_max: int, seed: int, *, proposal: Proposal | None = None,
-             snapshot_stride: int = 1000) -> RunTrace:
+             k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
     """Run one adaptive chain for k_max steps; stores the full theta path.
 
     This is the vectorized engine with a single chain, so a solo run is
     bit-identical to the corresponding member of a batch.
     """
-    return run_samc_batch(model, schedule, ladder, k_max, [seed], proposal=proposal,
+    return run_samc_batch(model, schedule, ladder, k_max, [seed],
                           snapshot_stride=snapshot_stride, store_thetas=True)[0]
 
 
@@ -258,8 +237,7 @@ def _ball_may_fail(theta: np.ndarray, center: np.ndarray, radius: np.ndarray,
 
 def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                    ladder: TruncationLadder, k_max: int, seeds: Sequence[int],
-                   *, proposal: Proposal | None = None,
-                   snapshot_stride: int = 1000,
+                   *, snapshot_stride: int = 1000,
                    store_thetas: bool = False) -> list[RunTrace]:
     """Run many finite-space chains in lockstep with vectorized arithmetic.
 
@@ -275,46 +253,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     draws, and the ball test for a fold block, only when a bound padded
     for rounding shows that every chain passes it.
     """
-    m, pi = model.m, model.pi
-    n = model.space.n_states
+    m, n = model.m, model.chain.n_states
     lock = Lockstep(schedule, ladder, k_max, seeds, m - 1, snapshot_stride,
                     store_thetas)
-    if proposal is None:
-        q = model.space.proposal
-        proposal = DiscreteNeighbor(np.full((n, n), 1.0 / n) if q is None else q)
-    if not isinstance(proposal, DiscreteNeighbor):
-        raise TypeError("finite state spaces need a DiscreteNeighbor proposal")
-
-    log_psi, labels = _tabulate(model)
-    if proposal.matrix.shape != (n, n):
-        raise ValueError("proposal matrix shape must match the state space")
-    cdf = proposal._cdf
-    q = proposal.matrix
-    bad = (q > 0) & (q.T == 0)
-    if bad.any():
-        x_bad, y_bad = map(int, np.argwhere(bad)[0])
-        raise ValueError(
-            f"non-reversible proposal pair: q({x_bad},{y_bad}) > 0 "
-            f"but q({y_bad},{x_bad}) = 0")
-    log_q = np.where(q > 0, np.log(np.maximum(q, 1e-300)), -np.inf)
-    # log MH ratio of the unweighted target, tabulated over ordered state
-    # pairs; entries for pairs with no proposal mass are never gathered.
-    # The broadcast order matches the per-step arithmetic bit for bit.
-    with np.errstate(invalid="ignore"):
-        ratio_table = (log_psi[None, :] - log_psi[:, None] + log_q.T) - log_q
-
-    # per-label update rows and their squared norms; label j moves theta by
-    # a * update_rows[j-1], which covers every possible step of the chain
-    eye = np.eye(m)[:, : m - 1]
-    update_rows = eye - pi[None, : m - 1]
-    full = np.concatenate([update_rows, (np.eye(m)[:, m - 1:] - pi[None, m - 1:])],
-                          axis=1)
-    assert np.abs(full.sum(axis=1)).max() < 1e-12
-    assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
-    # the same rows extended by the pinned component, whose step is 0
-    steps_ext = np.zeros((m, m))
-    steps_ext[:, : m - 1] = update_rows
-    row_norm = float(np.sqrt((update_rows * update_rows).sum(axis=1)).max())
+    cdf, ratio_table, steps_ext = model.cdf, model.ratio_table, model.steps
+    row_norm = model.row_norm
 
     ladder = lock.ladder
     center = ladder.center
@@ -327,7 +270,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     x0 = int(x0)
     if not 0 <= x0 < n:
         raise ValueError(f"initial state {x0} outside 0..{n - 1}")
-    label_idx = labels - 1
+    label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
     reinit_ext = np.append(reinit_theta, 0.0)
     reinit_max = float(np.abs(reinit_theta).max(initial=0.0))

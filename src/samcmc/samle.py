@@ -19,10 +19,57 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import Box, Proposal, RandomWalk, reflect_into_box
 from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
 
 CHUNK = 2048
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned bounds; used both as proposal bounds and space descriptor."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", np.atleast_1d(np.asarray(self.lower, float)))
+        object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, float)))
+        if self.lower.shape != self.upper.shape:
+            raise ValueError("bounds must have matching shapes")
+        if np.any(self.lower >= self.upper):
+            raise ValueError("lower bounds must be strictly below upper bounds")
+
+    def contains(self, x: np.ndarray) -> bool:
+        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+
+
+def reflect_into_box(y: np.ndarray, box: Box) -> np.ndarray:
+    """Fold a point into the box by reflecting at the walls.
+
+    Points already inside are returned untouched, so astronomically wide
+    boxes (used as compactness safeguards) never degrade precision.
+    """
+    y = np.asarray(y, dtype=float)
+    lower, upper = box.lower, box.upper
+    inside = (y >= lower) & (y <= upper)
+    if inside.all():
+        return y
+    period = 2.0 * (upper - lower)
+    t = np.mod(y - lower, period)
+    folded = lower + np.minimum(t, period - t)
+    return np.where(inside, y, folded)
+
+
+@dataclass(frozen=True)
+class RandomWalk:
+    """Isotropic Gaussian step proposal, reflected into bounds when given."""
+
+    step: float
+    bounds: Box | None = None
+
+    def __post_init__(self):
+        if not self.step > 0:       # NaN fails too
+            raise ValueError("step must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,7 +106,7 @@ class NonFiniteGradientError(RuntimeError):
 
 def run_samle(model: MissingDataModel, schedule: GainSchedule,
               ladder: TruncationLadder, k_max: int, seed: int, *,
-              proposal: Proposal | None = None, sweeps: int = 1,
+              proposal: RandomWalk | None = None, sweeps: int = 1,
               snapshot_stride: int = 1000) -> RunTrace:
     """Run one chain for k_max iterations and keep the full parameter path.
 
@@ -93,7 +140,7 @@ def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
 
 def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     ladder: TruncationLadder, k_max: int,
-                    seeds: Sequence[int], *, proposal: Proposal | None = None,
+                    seeds: Sequence[int], *, proposal: RandomWalk | None = None,
                     sweeps: int = 1, snapshot_stride: int = 1000,
                     store_thetas: bool = False) -> list[RunTrace]:
     """Run many chains in lockstep with vectorized arithmetic.
@@ -113,8 +160,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
-    if not isinstance(proposal, RandomWalk):
-        raise TypeError("run_samle_batch supports RandomWalk proposals only")
     box = proposal.bounds or model.x_space
     predictive = model.predictive_log_density
     score = model.grad_complete_loglik

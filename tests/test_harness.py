@@ -104,6 +104,14 @@ def test_config_error_catalog(tmp_path):
         ("mode: samc\nk_max: 10\nladder: {rung: 3}\n", "unknown ladder keys: rung"),
         ("mode: samc\nk_max: 10\nladder: {r0: 0}\n", "r0 must be positive"),
         ("mode: samc\nk_max: 10\nladder: {growth: 1.0}\n", "growth must exceed 1"),
+        ("mode: samc\nk_max: 10\nladder: {r0: .nan}\n", "r0 must be positive"),
+        ("mode: samc\nk_max: 10\nladder: {growth: .nan}\n", "growth must exceed 1"),
+        ("mode: samc\nk_max: 10\nk0: 2.5\n", "k0 must be an integer, got 2.5"),
+        ("mode: samc\nk_max: 10\nreplications: two\n", "replications must be an integer"),
+        ("mode: samc\nk_max: 10\nseed: true\n", "seed must be an integer, got True"),
+        ("mode: samc\nk_max: 10\nsnapshot_stride: 1e3\n",
+         "snapshot_stride must be an integer, got '1e3'"),
+        ("mode: samc\nk_max: 10\nsweeps: [1]\n", "sweeps must be an integer"),
         ("- just\n- a list\n", "must be a key-value mapping"),
     ]
     for i, (text, fragment) in enumerate(cases):
@@ -449,6 +457,29 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sum (a_i/b_i)^alpha < infinity" in err
     assert "error: invalid gain schedule" in err
+
+
+@pytest.mark.parametrize("mode, text, message", [
+    ("samc", "schedule: {c1: .nan}", "gain and threshold scales must be positive"),
+    ("samc", "ladder: {theta0: [.nan, 0.0]}", "theta0 must be a flat list of finite"),
+    ("samc", "k_max: 1e5", "k_max must be an integer, got '1e5'"),
+    ("samc", "k_max: abc", "k_max must be an integer, got 'abc'"),
+    ("samc", "k_max: 1500.7", "k_max must be an integer, got 1500.7"),
+    ("samc", "seed: -1", "seed must be >= 0"),
+    ("samc", "ladder: {x0: 99}", "ladder x0 must be a state in 0..9, got 99"),
+    ("samc", "ladder: {x0: 1.5}", "ladder x0 must be an integer, got 1.5"),
+    ("samle", "ladder: {x0: [1.0, 2.0]}", "ladder x0 must list 20 finite latent"),
+], ids=["nan-c1", "nan-theta0", "k_max-1e5", "k_max-abc", "k_max-float",
+        "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length"])
+def test_cli_reports_bad_config_values(tmp_path, capsys, mode, text, message):
+    out = tmp_path / "out"
+    body = text if text.startswith("k_max") else f"k_max: 1000\n{text}"
+    p = write_config(tmp_path, f"mode: {mode}\n{body}\noutput_dir: {out}\n")
+    assert main([f"run-{mode}", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, mode", [("run-samc", "samc"),

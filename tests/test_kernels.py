@@ -1,12 +1,11 @@
-"""Proposals, their validation and draws, and reflection into a box."""
+"""Draws from a chain's proposal, boxes and reflection into a box."""
 
 import numpy as np
 import pytest
 
 from samcmc import (
     Box,
-    DiscreteNeighbor,
-    FiniteStates,
+    FiniteChainSpec,
     GainSchedule,
     SamcModel,
     TruncationLadder,
@@ -23,8 +22,9 @@ def first_proposals(matrix, x0, n_chains):
     the proposal that the engine drew from the matrix.
     """
     n = len(matrix)
-    model = SamcModel(lambda x: 0.0, lambda x: 1, 1, np.array([1.0]),
-                      FiniteStates(n, np.asarray(matrix)))
+    model = SamcModel.from_chain(FiniteChainSpec(
+        n_states=n, log_psi=np.zeros(n), labels=np.ones(n, dtype=int),
+        proposal=matrix, pi=np.array([1.0])))
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=x0)
     traces = run_samc_batch(model, GainSchedule(), ladder, 1, range(n_chains))
     return [t.final_state for t in traces]
@@ -67,13 +67,3 @@ def test_discrete_neighbor_never_draws_zero_mass_state():
     matrix = [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]
     assert set(first_proposals(matrix, 0, 300)) == {0, 2}
 
-
-def test_discrete_neighbor_validation():
-    with pytest.raises(ValueError, match="square"):
-        DiscreteNeighbor(np.ones((2, 3)))
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiscreteNeighbor(np.array([[0.5, 0.4], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        DiscreteNeighbor(np.array([[1.5, -0.5], [0.5, 0.5]]))
-    with pytest.raises(ValueError, match="sum to 1"):
-        DiscreteNeighbor(np.array([[np.nan, 0.5], [0.5, 0.5]]))

@@ -452,22 +452,38 @@ def test_load_chain_file_rejects_nan(tmp_path, chain, line, message):
         load_chain_file(path)
 
 
+def spec(labels=(1, 2), proposal=((0.5, 0.5), (0.5, 0.5)), pi=(0.5, 0.5)):
+    n = len(labels)
+    return FiniteChainSpec(n_states=n, log_psi=np.zeros(n), labels=np.array(labels),
+                           proposal=np.array(proposal), pi=np.array(pi))
+
+
 def test_spec_rejects_empty_subregion():
     with pytest.raises(ValueError, match="empty subregions"):
-        FiniteChainSpec(
-            n_states=3, log_psi=np.zeros(3), labels=np.array([1, 1, 3]),
-            proposal=np.full((3, 3), 1 / 3), pi=np.full(3, 1 / 3))
+        spec(labels=(1, 1, 3), proposal=np.full((3, 3), 1 / 3), pi=np.full(3, 1 / 3))
+    for labels in ((0, 1), (1, 3)):
+        with pytest.raises(ValueError, match="labels must lie in 1..m"):
+            spec(labels=labels)
 
 
 def test_spec_rejects_bad_pi():
-    with pytest.raises(ValueError):
-        FiniteChainSpec(
-            n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
-            proposal=np.full((2, 2), 0.5), pi=np.array([0.9, 0.9]))
+    with pytest.raises(ValueError, match="pi must be positive and sum to 1"):
+        spec(pi=(0.9, 0.9))
+    # pi's length sets m, so a wrong length leaves labels out of 1..m or
+    # subregions empty
+    with pytest.raises(ValueError, match="labels must lie in 1..m"):
+        spec(pi=(1.0,))
+    with pytest.raises(ValueError, match="empty subregions: \\[3\\]"):
+        spec(pi=(0.4, 0.3, 0.3))
 
 
 def test_spec_rejects_nonstochastic_proposal():
-    with pytest.raises(ValueError):
-        FiniteChainSpec(
-            n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
-            proposal=np.array([[0.5, 0.4], [0.5, 0.5]]), pi=np.array([0.5, 0.5]))
+    cases = [
+        (((0.5, 0.4), (0.5, 0.5)), "rows must sum to 1"),
+        (np.ones((2, 3)) / 3, "n_states x n_states"),
+        (((1.5, -0.5), (0.5, 0.5)), "nonnegative"),
+        (((np.nan, 0.5), (0.5, 0.5)), "rows must sum to 1"),
+    ]
+    for proposal, message in cases:
+        with pytest.raises(ValueError, match=message):
+            spec(proposal=proposal)

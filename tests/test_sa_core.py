@@ -71,6 +71,12 @@ def test_schedule_field_validation():
         GainSchedule(tau=1.5)
     with pytest.raises(ValueError):
         GainSchedule(alpha=1.5)
+    # NaN fails every check, and the scales must be finite
+    for field in ("c1", "c2", "tau", "alpha"):
+        with pytest.raises(ValueError):
+            GainSchedule(**{field: float("nan")})
+    with pytest.raises(ValueError, match="finite"):
+        GainSchedule(c1=float("inf"))
 
 
 def test_for_samc_threshold_rule():
@@ -151,6 +157,15 @@ def test_ladder_validation():
     with pytest.raises(ValueError, match="base ball"):
         TruncationLadder(center=np.zeros(2), r0=1.0,
                          reinit_theta=np.array([2.0, 0.0]))
+    nan = float("nan")
+    with pytest.raises(ValueError, match="r0"):
+        TruncationLadder(center=np.zeros(2), r0=nan)
+    with pytest.raises(ValueError, match="growth"):
+        TruncationLadder(center=np.zeros(2), growth=nan)
+    with pytest.raises(ValueError, match="finite"):
+        TruncationLadder(center=np.array([nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        TruncationLadder(center=np.zeros(2), reinit_theta=np.array([0.0, nan]))
 
 
 def test_truncation_decide_zero_move_accepts():

@@ -2,21 +2,20 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from samcmc import (
-    Box,
-    DiscreteNeighbor,
     FiniteChainSpec,
-    FiniteStates,
     GainSchedule,
     RunTrace,
     SamcModel,
     SamcTheta,
     TruncationLadder,
     chain10,
+    exact_omega,
     gain_at,
     omega_hat,
     run_samc,
@@ -24,6 +23,7 @@ from samcmc import (
     samc_log_ratio,
     samc_update,
     stationary_dist,
+    theta_star,
     threshold_at,
     transition_matrix,
     trial_log_density,
@@ -49,25 +49,17 @@ def model(chain):
 @pytest.fixture(scope="module")
 def m1_model(chain):
     """chain10 as one subregion: SAMC at m = 1 is plain MH on psi."""
-    return SamcModel(
-        log_psi=lambda x: float(chain.log_psi[x]),
-        classify=lambda x: 1,
-        m=1,
-        pi=np.array([1.0]),
-        space=FiniteStates(chain.n_states, chain.proposal),
-    )
+    return SamcModel.from_chain(replace(
+        chain, labels=np.ones(chain.n_states, dtype=int), pi=np.array([1.0])))
 
 
 def uniform_model(n, m):
-    """n equally sized subregions... flat density, so theta* = 0."""
+    """n equally sized subregions, a flat density and a uniform proposal,
+    so theta* = 0."""
     assert n % m == 0
-    return SamcModel(
-        log_psi=lambda x: 0.0,
-        classify=lambda x: 1 + x * m // n,
-        m=m,
-        pi=np.full(m, 1.0 / m),
-        space=FiniteStates(n),
-    )
+    return SamcModel.from_chain(FiniteChainSpec(
+        n_states=n, log_psi=np.zeros(n), labels=1 + np.arange(n) * m // n,
+        proposal=np.full((n, n), 1.0 / n), pi=np.full(m, 1.0 / m)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,33 +154,11 @@ def test_theta_model_mismatch_detected():
         trial_log_density(model, SamcTheta(np.zeros(2), 3), 0)
 
 
-def test_samc_model_validation():
-    with pytest.raises(ValueError, match="sum to 1"):
-        SamcModel(lambda x: 0.0, lambda x: 1, 2, np.array([0.5, 0.6]),
-                  FiniteStates(4))
-    with pytest.raises(ValueError, match="positive"):
-        SamcModel(lambda x: 0.0, lambda x: 1, 2, np.array([1.0, 0.0]),
-                  FiniteStates(4))
-    with pytest.raises(ValueError, match="shape"):
-        SamcModel(lambda x: 0.0, lambda x: 1, 3, np.array([0.5, 0.5]),
-                  FiniteStates(4))
-    with pytest.raises(ValueError, match="n_states"):
-        FiniteStates(0)
-    with pytest.raises(ValueError, match="shape"):
-        FiniteStates(3, np.ones((2, 2)) / 2)
-
-
-def test_samc_model_needs_a_finite_space():
-    with pytest.raises(TypeError, match="FiniteStates, got Box"):
-        SamcModel(lambda x: 0.0, lambda x: 1, 2, np.array([0.5, 0.5]),
-                  Box(np.zeros(1), np.ones(1)))
-
-
 def test_from_chain_wires_tables(chain, model):
-    assert model.m == chain.m
-    assert model.log_psi(4) == chain.log_psi[4]
-    assert model.classify(9) == chain.labels[9]
+    assert model.chain is chain and model.m == chain.m
     np.testing.assert_array_equal(model.pi, chain.pi)
+    np.testing.assert_array_equal(model.cdf[:, -1], 1.0)
+    np.testing.assert_array_equal(model.steps[:, -1], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +214,15 @@ def test_visit_freq():
 # run drivers
 # ---------------------------------------------------------------------------
 
-def test_classify_labels_checked_up_front(chain):
-    model = SamcModel(lambda x: 0.0, lambda x: x, 3, np.full(3, 1 / 3),
-                      FiniteStates(9))  # classify(0) = 0 is out of range
-    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
-    with pytest.raises(ValueError, match="labels in 1..m"):
-        run_samc(model, GainSchedule(), ladder, 10, seed=0)
-
-
 def test_engine_rejects_nonreversible_proposal():
     cycle = np.array([[0.0, 1.0, 0.0],
                       [0.0, 0.0, 1.0],
                       [1.0, 0.0, 0.0]])
-    model = SamcModel(lambda x: 0.0, lambda x: 1 + x, 3, np.full(3, 1 / 3),
-                      FiniteStates(3, cycle))
-    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    chain = FiniteChainSpec(n_states=3, log_psi=np.zeros(3),
+                            labels=np.array([1, 2, 3]), proposal=cycle,
+                            pi=np.full(3, 1 / 3))
     with pytest.raises(ValueError, match="non-reversible proposal pair"):
-        run_samc(model, GainSchedule(), ladder, 10, seed=0)
+        SamcModel.from_chain(chain)
 
 
 def test_run_m1_is_plain_mh(m1_model):
@@ -326,8 +288,8 @@ def test_engine_replays_single_step_operations(chain, model):
     trace = run_samc(model, schedule, ladder, k_max, seed=seed)
     assert trace.sigma_events, "r0 must be tight enough to truncate"
 
-    prop = DiscreteNeighbor(chain.proposal)
-    cdf = prop._cdf
+    cdf = model.cdf
+    labels = chain.labels
     log_psi = chain.log_psi
     log_q = np.where(chain.proposal > 0, np.log(chain.proposal), -np.inf)
     m, pi = model.m, model.pi
@@ -347,12 +309,12 @@ def test_engine_replays_single_step_operations(chain, model):
             k += 1
             y = int((cdf[x] <= u_prop[i]).sum())
             log_r = samc_log_ratio(
-                theta, m, model.classify(x), model.classify(y),
+                theta, m, int(labels[x]), int(labels[y]),
                 float(log_psi[x]), float(log_psi[y]),
                 float(log_q[x, y]), float(log_q[y, x]))
             if u_acc[i] < np.exp(np.minimum(0.0, log_r)):
                 x = y
-            j = model.classify(x)
+            j = int(labels[x])
             theta_half = samc_update(theta, m, j, pi, gain_at(schedule, k))
             decision = truncation_decide(theta.theta, theta_half.theta, k,
                                          schedule, ladder)
@@ -363,7 +325,7 @@ def test_engine_replays_single_step_operations(chain, model):
                 x = decision.state
                 ladder.sigma = decision.sigma
                 events.append(k)
-                j = model.classify(x)
+                j = int(labels[x])
             counts[j - 1] += 1
             thetas[k - 1] = theta.theta
 
@@ -527,6 +489,36 @@ def test_random_chain_golden_digests_and_solo_runs():
         assert samc_digest(solo) == samc_digest(member)
 
 
+def test_tables_match_the_oracle_kernel_on_random_chains():
+    # 50 seeded chains, N from 2 to 100 and m from 1 to 8. The MH kernel
+    # the engine samples from its tables, with acceptance exp(min(0,
+    # ratio + theta_x - theta_y)), must match the oracle's within a few
+    # ulps at theta = 0, theta* and two random points
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(77)
+    for seed in range(50):
+        n = int(rng.integers(2, 101))
+        m = int(rng.integers(1, min(n, 8) + 1))
+        chain = random_chain(seed, n, m)
+        model = SamcModel.from_chain(chain)
+        where = f"chain seed {seed}, N={n}, m={m}"
+        q = np.diff(model.cdf, axis=1, prepend=0.0)
+        np.testing.assert_allclose(q, chain.proposal, rtol=0, atol=4 * eps,
+                                   err_msg=where)
+        support = chain.proposal > 0
+        assert np.all(np.isfinite(model.ratio_table[support])), where
+        tstar = theta_star(exact_omega(chain), chain.pi)
+        for theta in (np.zeros(m - 1), tstar, tstar + 3 * rng.standard_normal(m - 1),
+                      5 * rng.standard_normal(m - 1)):
+            ext = np.append(theta, 0.0)[chain.labels0]
+            log_r = np.where(support, model.ratio_table, 0.0) + (ext[:, None] - ext)
+            p = np.where(support, q * np.exp(np.minimum(0.0, log_r)), 0.0)
+            np.fill_diagonal(p, 0.0)
+            np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+            np.testing.assert_allclose(p, transition_matrix(chain, theta), rtol=0,
+                                       atol=4 * eps, err_msg=f"{where}, theta={theta}")
+
+
 def test_m1_chain_golden_digests(m1_model):
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
     traces = run_samc_batch(m1_model, GainSchedule(), ladder, 10_000, [8, 9],
@@ -543,13 +535,7 @@ def test_move_threshold_binds_now_and_then(chain):
     # about 1.10 against about 0.51). b_k/a_k = 0.8 k^0.034 lies between
     # the two until k is about 1e4, so visits to subregion 1 truncate on
     # the move test there; past that the threshold cannot bind
-    model = SamcModel(
-        log_psi=lambda x: float(chain.log_psi[x]),
-        classify=lambda x: int(chain.labels[x]),
-        m=3,
-        pi=MOVE_BINDS_PI,
-        space=FiniteStates(chain.n_states, chain.proposal),
-    )
+    model = SamcModel.from_chain(replace(chain, pi=MOVE_BINDS_PI))
     ladder = TruncationLadder(center=np.zeros(2), r0=1e6, reinit_state=9)
     traces = run_samc_batch(model, MOVE_BINDS_SCHEDULE, ladder, 20_000, [31, 32])
     for t in traces:
