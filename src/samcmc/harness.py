@@ -89,6 +89,14 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """A real config value; YAML leaves forms such as 1e-3 as strings."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate an experiment config file.
 
@@ -118,9 +126,10 @@ def load_config(path) -> ExperimentConfig:
     _require(isinstance(sched_raw, dict), f"{path}: 'schedule' must be a mapping")
     unknown = sorted(set(sched_raw) - set(_SCHEDULE_KEYS))
     _require(not unknown, f"{path}: unknown schedule keys: {', '.join(unknown)}")
+    fields = {k: _real(v, f"{path}: schedule {k}") for k, v in sched_raw.items()}
     try:
-        schedule = GainSchedule(**{k: float(v) for k, v in sched_raw.items()})
-    except (TypeError, ValueError) as exc:
+        schedule = GainSchedule(**fields)
+    except ValueError as exc:
         raise ConfigError(f"{path}: bad schedule field: {exc}") from exc
     report = validate_schedule(schedule)
     if not report.passed:
@@ -131,15 +140,16 @@ def load_config(path) -> ExperimentConfig:
     _require(isinstance(ladder_raw, dict), f"{path}: 'ladder' must be a mapping")
     unknown = sorted(set(ladder_raw) - set(_LADDER_KEYS))
     _require(not unknown, f"{path}: unknown ladder keys: {', '.join(unknown)}")
-    r0 = float(ladder_raw.get("r0", 10.0))
-    growth = float(ladder_raw.get("growth", 10.0))
+    r0 = _real(ladder_raw.get("r0", 10.0), f"{path}: ladder r0")
+    growth = _real(ladder_raw.get("growth", 10.0), f"{path}: ladder growth")
     _require(r0 > 0, f"{path}: ladder r0 must be positive")
     _require(growth > 1, f"{path}: ladder growth must exceed 1")
     theta0 = ladder_raw.get("theta0")
     if theta0 is not None:
-        theta0 = np.asarray(theta0, dtype=float)
-        _require(theta0.ndim == 1 and np.all(np.isfinite(theta0)),
-                 f"{path}: ladder theta0 must be a flat list of finite numbers")
+        flat = f"{path}: ladder theta0 must be a flat list of finite numbers"
+        _require(isinstance(theta0, list), flat)
+        theta0 = np.array([_real(v, f"{path}: ladder theta0 entry") for v in theta0])
+        _require(np.all(np.isfinite(theta0)), flat)
     x0 = ladder_raw.get("x0")
 
     def integer(key: str, default=None) -> int:
@@ -160,8 +170,9 @@ def load_config(path) -> ExperimentConfig:
     _require(sweeps >= 1, f"{path}: sweeps must be >= 1")
     proposal_step = raw.get("proposal_step")
     if proposal_step is not None:
-        proposal_step = float(proposal_step)
-        _require(proposal_step > 0, f"{path}: proposal_step must be positive")
+        proposal_step = _real(proposal_step, f"{path}: proposal_step")
+        _require(0 < proposal_step < np.inf,
+                 f"{path}: proposal_step must be positive and finite")
 
     def resolve(key: str) -> Path | None:
         value = raw.get(key)

@@ -17,7 +17,7 @@ convergence theory needs, clause by clause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -168,15 +168,14 @@ def validate_schedule(schedule: GainSchedule) -> ValidationReport:
 class TruncationLadder:
     """Nested norm balls K_s of radius r0*growth^s around a fixed center.
 
-    sigma counts truncations so far and selects the active ball. The reset
-    map is deterministic: back to (reinit_theta, reinit_state), which
-    defaults to the center and is required to lie in the base ball.
+    A run's truncation count s selects the active ball. The reset map is
+    deterministic: back to (reinit_theta, reinit_state), which defaults to
+    the center and is required to lie in the base ball.
     """
 
     center: np.ndarray
     r0: float = 10.0
     growth: float = 10.0
-    sigma: int = 0
     reinit_theta: np.ndarray | None = None
     reinit_state: Any = None
 
@@ -187,8 +186,6 @@ class TruncationLadder:
             raise ValueError("r0 must be positive")
         if not self.growth > 1:
             raise ValueError("growth must exceed 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
         if self.reinit_theta is None:
             self.reinit_theta = self.center.copy()
         else:
@@ -207,32 +204,11 @@ class TruncationLadder:
         except OverflowError:
             return float("inf")
 
-    def contains(self, theta: np.ndarray, s: int | None = None) -> bool:
-        if s is None:
-            s = self.sigma
+    def contains(self, theta: np.ndarray, s: int) -> bool:
         # past float range the norm saturates to inf like the radius does
         with np.errstate(over="ignore"):
             dist = np.linalg.norm(np.asarray(theta) - self.center)
         return bool(dist <= self.radius_at(s))
-
-
-@dataclass(frozen=True)
-class TruncationDecision:
-    accepted: bool
-    theta: np.ndarray
-    state: Any          # reset sample-space point; None on accept
-    sigma: int          # truncation count after the decision
-
-
-def truncation_decide(theta_prev: np.ndarray, theta_half: np.ndarray, k: int,
-                      schedule: GainSchedule,
-                      ladder: TruncationLadder) -> TruncationDecision:
-    """Accept the half-step iff it moved at most b_k and stayed in K_sigma."""
-    move = np.linalg.norm(np.asarray(theta_half) - np.asarray(theta_prev))
-    if move <= threshold_at(schedule, k) and ladder.contains(theta_half):
-        return TruncationDecision(True, theta_half, None, ladder.sigma)
-    return TruncationDecision(False, ladder.reinit_theta.copy(),
-                              ladder.reinit_state, ladder.sigma + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +344,10 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
     bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
     """
     _check_run_args(k_max, snapshot_stride)
-    ladder = replace(ladder)                 # private sigma state for this run
     rng = np.random.default_rng(seed)
     theta = ladder.reinit_theta.copy()
     x = ladder.reinit_state
+    sigma = 0
     d = theta.shape[0]
     thetas = np.empty((k_max, d))
     acc = KahanSum(d)
@@ -383,22 +359,23 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
         theta_half = theta + gain_at(schedule, k) * direction
         if not np.all(np.isfinite(theta_half)):
             raise NonFiniteIterateError(k, theta_half)
-        decision = truncation_decide(theta, theta_half, k, schedule, ladder)
-        if decision.accepted:
-            theta = decision.theta
+        # accept the half-step iff it moved at most b_k and stayed in K_sigma
+        move = np.linalg.norm(theta_half - theta)
+        if move <= threshold_at(schedule, k) and ladder.contains(theta_half, sigma):
+            theta = theta_half
         else:
-            theta = decision.theta
-            x = decision.state
-            ladder.sigma = decision.sigma
+            theta = ladder.reinit_theta.copy()
+            x = ladder.reinit_state
+            sigma += 1
             events.append(k)
         thetas[k - 1] = theta
         acc.add(theta)
         if k % snapshot_stride == 0 or k == k_max:
             snapshots.append(Snapshot(k=k, theta=theta.copy(), pi_hat=None,
-                                      sigma=ladder.sigma, theta_sum=acc.value.copy()))
+                                      sigma=sigma, theta_sum=acc.value.copy()))
     return RunTrace(thetas=thetas, sigma_events=events, running_sum=acc.value,
                     k=k_max, seed=seed, snapshots=snapshots, final_theta=theta.copy(),
-                    final_sigma=ladder.sigma, final_state=x)
+                    final_sigma=sigma, final_state=x)
 
 
 class Lockstep:
@@ -416,11 +393,11 @@ class Lockstep:
                  snapshot_stride: int, store_thetas: bool):
         _check_run_args(k_max, snapshot_stride)
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
-        self.ladder = replace(ladder)            # private sigma state for this run
+        self.ladder = ladder
         self.stride = snapshot_stride
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
-        self.sig = np.full(B, self.ladder.sigma, dtype=np.int64)
+        self.sig = np.zeros(B, dtype=np.int64)
         self.radius = self._radius()
         self.events: list[list[int]] = [[] for _ in range(B)]
         self.ksum = KahanSum((B, d))

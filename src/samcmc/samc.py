@@ -1,4 +1,4 @@
-"""Stochastic approximation Monte Carlo: operations and run drivers.
+"""Stochastic approximation Monte Carlo: model tables, estimates and engine.
 
 The sampler targets a reweighted density proportional to psi(x) *
 exp(-theta^(j(x))) on each of m labeled subregions and adapts theta so
@@ -87,85 +87,6 @@ class SamcModel:
     @property
     def pi(self) -> np.ndarray:
         return self.chain.pi
-
-
-@dataclass(frozen=True)
-class SamcTheta:
-    """Log weight adjustments for the first m-1 subregions; the m-th is 0."""
-
-    theta: np.ndarray
-    m: int
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "theta", theta)
-        if theta.shape != (self.m - 1,):
-            raise ValueError(f"theta must have shape ({self.m - 1},)")
-        if theta.size and not np.all(np.isfinite(theta)):
-            raise ValueError("theta components must be finite")
-
-    @classmethod
-    def zeros(cls, m: int) -> "SamcTheta":
-        return cls(np.zeros(m - 1), m)
-
-    def component(self, j: int) -> float:
-        """Extended component for a 1-based label; the pinned one is 0."""
-        if not 1 <= j <= self.m:
-            raise ValueError(f"label {j} outside 1..{self.m}")
-        return 0.0 if j == self.m else float(self.theta[j - 1])
-
-    def extended(self) -> np.ndarray:
-        return np.append(self.theta, 0.0)
-
-
-def _as_theta(theta, m: int) -> SamcTheta:
-    if isinstance(theta, SamcTheta):
-        if theta.m != m:
-            raise ValueError(f"theta has m={theta.m}, model has m={m}")
-        return theta
-    return SamcTheta(np.asarray(theta, dtype=float), m)
-
-
-def trial_log_density(model: SamcModel, theta, x) -> float:
-    """Log of the reweighted target psi(x) exp(-theta^(j(x))), unnormalized."""
-    th = _as_theta(theta, model.m)
-    chain = model.chain
-    return float(chain.log_psi[x]) - th.component(int(chain.labels[x]))
-
-
-def samc_log_ratio(theta, m: int, j_x: int, j_y: int,
-                   log_psi_x: float, log_psi_y: float,
-                   log_q_fwd: float, log_q_bwd: float) -> float:
-    """Log MH ratio for the reweighted target, assembled from parts.
-
-    Useful when log_psi values are already at hand; run drivers use it to
-    avoid recomputing the current point's density every step.
-    """
-    th = _as_theta(theta, m)
-    return (th.component(j_x) - th.component(j_y)
-            + log_psi_y - log_psi_x + log_q_bwd - log_q_fwd)
-
-
-def samc_update(theta, m: int, j_visited: int, pi: np.ndarray,
-                a: float) -> SamcTheta:
-    """Gain-weighted step theta + a*(indicator - pi) on the free components.
-
-    The full m-component update vector sums to zero by construction and
-    has norm at most sqrt(2); both are asserted (debug runs only).
-    """
-    th = _as_theta(theta, m)
-    if not 1 <= j_visited <= m:
-        raise ValueError(f"visited label {j_visited} outside 1..{m}")
-    pi = np.asarray(pi, dtype=float)
-    indicator = np.zeros(m - 1)
-    if j_visited < m:
-        indicator[j_visited - 1] = 1.0
-    h = indicator - pi[: m - 1]
-    if __debug__:
-        h_full = np.append(h, (1.0 if j_visited == m else 0.0) - pi[m - 1])
-        assert abs(h_full.sum()) < 1e-12, "update vector must sum to zero"
-        assert np.dot(h_full, h_full) <= 2.0 + 1e-12, "update norm exceeds sqrt(2)"
-    return SamcTheta(th.theta + a * h, m)
 
 
 def omega_hat(theta_bar, pi: np.ndarray) -> np.ndarray:
@@ -259,7 +180,6 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     cdf, ratio_table, steps_ext = model.cdf, model.ratio_table, model.steps
     row_norm = model.row_norm
 
-    ladder = lock.ladder
     center = ladder.center
     reinit_theta = ladder.reinit_theta
     if center.shape != (m - 1,):
@@ -357,7 +277,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 np.add(ext_rows[i], step, out=ext_rows[i + 1])
                 th_half = free_rows[i + 1]
                 # norm of the realized difference, not of a*update: matches
-                # the scalar truncation_decide arithmetic bit for bit
+                # run_sa's truncation test bit for bit
                 if move_test:
                     np.subtract(th_half, free_rows[i], out=sq)
                     np.multiply(sq, sq, out=sq)

@@ -68,8 +68,8 @@ class RandomWalk:
     bounds: Box | None = None
 
     def __post_init__(self):
-        if not self.step > 0:       # NaN fails too
-            raise ValueError("step must be positive")
+        if not 0 < self.step < np.inf:      # NaN fails too
+            raise ValueError("step must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -164,9 +164,9 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     predictive = model.predictive_log_density
     score = model.grad_complete_loglik
 
-    center = lock.ladder.center
-    reinit_theta = lock.ladder.reinit_theta
-    x0 = lock.ladder.reinit_state
+    center = ladder.center
+    reinit_theta = ladder.reinit_theta
+    x0 = ladder.reinit_state
     if x0 is None:
         raise ValueError("ladder.reinit_state must hold the initial latent data")
     x0 = np.asarray(x0, dtype=float)

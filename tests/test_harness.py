@@ -4,11 +4,13 @@ import hashlib
 import json
 import math
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import samcmc
 from samcmc import (
     ConfigError,
     EfficiencyReport,
@@ -60,6 +62,13 @@ SMALL_SAMC = """\
 """
 
 
+def test_all_lists_every_public_name_once():
+    public = {name for name, value in vars(samcmc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(samcmc.__all__) == len(set(samcmc.__all__))
+    assert set(samcmc.__all__) == public
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -101,6 +110,8 @@ def test_config_error_catalog(tmp_path):
         ("mode: samc\nk_max: 10\nproposal_step: -0.5\n", "proposal_step"),
         ("mode: samc\nk_max: 10\nschedule: {c3: 1}\n", "unknown schedule keys: c3"),
         ("mode: samc\nk_max: 10\nschedule: {c1: -1}\n", "bad schedule field"),
+        ("mode: samc\nk_max: 10\nschedule: {tau: [1]}\n",
+         "schedule tau must be a number, got \\[1\\]"),
         ("mode: samc\nk_max: 10\nladder: {rung: 3}\n", "unknown ladder keys: rung"),
         ("mode: samc\nk_max: 10\nladder: {r0: 0}\n", "r0 must be positive"),
         ("mode: samc\nk_max: 10\nladder: {growth: 1.0}\n", "growth must exceed 1"),
@@ -469,8 +480,13 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     ("samc", "ladder: {x0: 99}", "ladder x0 must be a state in 0..9, got 99"),
     ("samc", "ladder: {x0: 1.5}", "ladder x0 must be an integer, got 1.5"),
     ("samle", "ladder: {x0: [1.0, 2.0]}", "ladder x0 must list 20 finite latent"),
+    ("samc", "ladder: {r0: abc}", "ladder r0 must be a number, got 'abc'"),
+    ("samc", "ladder: {theta0: [a, 1]}", "ladder theta0 entry must be a number, got 'a'"),
+    ("samle", "proposal_step: fast", "proposal_step must be a number, got 'fast'"),
+    ("samle", "proposal_step: .inf", "proposal_step must be positive and finite"),
 ], ids=["nan-c1", "nan-theta0", "k_max-1e5", "k_max-abc", "k_max-float",
-        "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length"])
+        "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length",
+        "r0-abc", "theta0-entry-abc", "proposal_step-abc", "proposal_step-inf"])
 def test_cli_reports_bad_config_values(tmp_path, capsys, mode, text, message):
     out = tmp_path / "out"
     body = text if text.startswith("k_max") else f"k_max: 1000\n{text}"

@@ -23,7 +23,6 @@ from samcmc import (
     run_samle_batch,
     threshold_at,
     trajectory_average,
-    truncation_decide,
     validate_schedule,
 )
 from test_samle import trace_digest
@@ -134,8 +133,8 @@ def test_ladder_geometry():
     ladder = TruncationLadder(center=np.zeros(2), r0=0.5, growth=10.0)
     assert ladder.radius_at(0) == 0.5
     assert ladder.radius_at(2) == 50.0
-    assert ladder.contains(np.array([0.3, 0.4]))
-    assert not ladder.contains(np.array([0.3, 0.5]))
+    assert ladder.contains(np.array([0.3, 0.4]), s=0)
+    assert not ladder.contains(np.array([0.3, 0.5]), s=0)
     assert ladder.contains(np.array([3.0, 4.0]), s=1)
 
 
@@ -152,8 +151,6 @@ def test_ladder_validation():
         TruncationLadder(center=np.zeros(2), r0=0.0)
     with pytest.raises(ValueError):
         TruncationLadder(center=np.zeros(2), growth=1.0)
-    with pytest.raises(ValueError):
-        TruncationLadder(center=np.zeros(2), sigma=-1)
     with pytest.raises(ValueError, match="base ball"):
         TruncationLadder(center=np.zeros(2), r0=1.0,
                          reinit_theta=np.array([2.0, 0.0]))
@@ -166,39 +163,6 @@ def test_ladder_validation():
         TruncationLadder(center=np.array([nan, 0.0]))
     with pytest.raises(ValueError, match="finite"):
         TruncationLadder(center=np.zeros(2), reinit_theta=np.array([0.0, nan]))
-
-
-def test_truncation_decide_zero_move_accepts():
-    ladder = TruncationLadder(center=np.zeros(2), r0=1e-6)
-    sched = GainSchedule()
-    theta = np.zeros(2)
-    decision = truncation_decide(theta, theta.copy(), 10 ** 9, sched, ladder)
-    assert decision.accepted
-    assert decision.sigma == 0
-
-
-def test_truncation_decide_outside_ball_reinits():
-    ladder = TruncationLadder(center=np.zeros(2), r0=0.5,
-                              reinit_state="anchor")
-    sched = GainSchedule()
-    decision = truncation_decide(np.array([0.4, 0.0]), np.array([0.6, 0.0]),
-                                 1, sched, ladder)
-    assert not decision.accepted
-    assert decision.sigma == 1
-    np.testing.assert_array_equal(decision.theta, np.zeros(2))
-    assert decision.state == "anchor"
-
-
-def test_truncation_decide_threshold_violation_reinits():
-    ladder = TruncationLadder(center=np.zeros(2), r0=100.0)
-    sched = GainSchedule()
-    k = 50
-    b = threshold_at(sched, k)
-    theta = np.zeros(2)
-    theta_half = np.array([1.5 * b, 0.0])       # inside the ball, too fast
-    assert ladder.contains(theta_half)
-    decision = truncation_decide(theta, theta_half, k, sched, ladder)
-    assert not decision.accepted
 
 
 def test_run_sa_contraction():
@@ -256,6 +220,29 @@ def test_run_sa_truncation_resets_to_initial_pair():
     assert trace.final_sigma == 5
     assert np.all(trace.thetas == 0.0)
     assert trace.final_state == "x0"
+
+
+@pytest.mark.parametrize("h, r0, events", [
+    (0.0, 1e-6, []),
+    (0.6, 0.5, [1]),
+    (3.0, 100.0, [1]),
+], ids=["zero-move", "leaves-ball", "too-fast"])
+def test_run_sa_accepts_or_truncates(h, r0, events):
+    # at k = 1 the gain is 1 and the move threshold 2: a zero move stays in
+    # a tiny ball, a move of 0.6 leaves a ball of radius 0.5, and one of 3
+    # stays in a ball of radius 100 but is too fast
+    problem = SaProblem(sample_step=lambda th, x, rng: x + 1,
+                        h_noisy=lambda th, x: np.array([h]))
+    start = 0.2 * r0
+    ladder = TruncationLadder(center=np.zeros(1), r0=r0, reinit_theta=[start],
+                              reinit_state=0)
+    trace = run_sa(problem, GainSchedule(), ladder, 1, seed=0)
+    assert trace.sigma_events == events
+    assert trace.final_sigma == len(events)
+    if events:      # reset to the (reinit_theta, reinit_state) pair
+        assert trace.thetas[0, 0] == start and trace.final_state == 0
+    else:
+        assert trace.thetas[0, 0] == start + h and trace.final_state == 1
 
 
 def test_run_sa_golden_digests():

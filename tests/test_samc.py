@@ -11,23 +11,20 @@ from samcmc import (
     FiniteChainSpec,
     GainSchedule,
     RunTrace,
+    SaProblem,
     SamcModel,
-    SamcTheta,
     TruncationLadder,
     chain10,
     exact_omega,
     gain_at,
     omega_hat,
+    run_sa,
     run_samc,
     run_samc_batch,
-    samc_log_ratio,
-    samc_update,
     stationary_dist,
     theta_star,
     threshold_at,
     transition_matrix,
-    trial_log_density,
-    truncation_decide,
     visit_freq,
 )
 from samcmc import samc
@@ -63,102 +60,19 @@ def uniform_model(n, m):
 
 
 # ---------------------------------------------------------------------------
-# single-step operations
+# model tables
 # ---------------------------------------------------------------------------
-
-def test_trial_log_density_subtracts_component():
-    model = uniform_model(4, 2)
-    theta = np.array([0.5])
-    # subregion 1 carries -theta_1, subregion 2 is pinned at zero
-    assert trial_log_density(model, theta, 0) == -0.5
-    assert trial_log_density(model, theta, 3) == 0.0
-
-
-def test_trial_log_density_m1_degenerate():
-    model = uniform_model(3, 1)
-    assert trial_log_density(model, np.zeros(0), 1) == 0.0
-
-
-def test_samc_log_ratio_example():
-    # m = 2, theta = (0.5,), move from subregion 1 to subregion 2 with equal
-    # densities and symmetric proposal: log ratio is exactly theta_1
-    r = samc_log_ratio(np.array([0.5]), 2, j_x=1, j_y=2,
-                       log_psi_x=-1.3, log_psi_y=-1.3,
-                       log_q_fwd=-2.0, log_q_bwd=-2.0)
-    assert r == 0.5
-
-
-def test_samc_log_ratio_invariant_to_common_shift():
-    rng = np.random.default_rng(0)
-    theta = rng.standard_normal(2)
-    args = dict(j_x=1, j_y=2, log_psi_x=0.3, log_psi_y=-0.9,
-                log_q_fwd=-1.0, log_q_bwd=-1.5)
-    base = samc_log_ratio(theta, 3, **args)
-    # both labels free: adding a constant to every free component cancels
-    shifted = samc_log_ratio(theta + 7.25, 3, **args)
-    assert abs(base - shifted) < 1e-12
-
-
-def test_samc_update_example():
-    pi = np.full(3, 1.0 / 3.0)
-    new = samc_update(np.zeros(2), 3, j_visited=2, pi=pi, a=0.1)
-    np.testing.assert_allclose(new.theta, [-1 / 30, 2 / 30], rtol=1e-12)
-
-
-def test_samc_update_visits_pinned_subregion():
-    pi = np.full(3, 1.0 / 3.0)
-    new = samc_update(np.zeros(2), 3, j_visited=3, pi=pi, a=0.1)
-    np.testing.assert_allclose(new.theta, [-1 / 30, -1 / 30], rtol=1e-12)
-
-
-def test_samc_update_full_vector_properties():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        m = int(rng.integers(1, 7))
-        pi = rng.random(m) + 0.1
-        pi /= pi.sum()
-        j = int(rng.integers(1, m + 1))
-        a = float(rng.random()) + 0.01
-        old = rng.standard_normal(m - 1)
-        new = samc_update(old, m, j, pi, a)
-        delta_free = new.theta - old
-        delta_pinned = a * ((1.0 if j == m else 0.0) - pi[m - 1])
-        full = np.append(delta_free, delta_pinned)
-        assert abs(full.sum()) < 1e-12
-        assert np.dot(full, full) <= (a ** 2) * 2.0 + 1e-12
-
-
-def test_samc_update_rejects_bad_label():
-    pi = np.full(2, 0.5)
-    with pytest.raises(ValueError, match="outside 1..2"):
-        samc_update(np.zeros(1), 2, j_visited=3, pi=pi, a=0.1)
-
-
-def test_samc_theta_accessors():
-    th = SamcTheta(np.array([0.4, -0.2]), 3)
-    assert th.component(1) == 0.4
-    assert th.component(3) == 0.0
-    np.testing.assert_array_equal(th.extended(), [0.4, -0.2, 0.0])
-    with pytest.raises(ValueError, match="outside"):
-        th.component(4)
-    with pytest.raises(ValueError, match="shape"):
-        SamcTheta(np.zeros(3), 3)
-    with pytest.raises(ValueError, match="finite"):
-        SamcTheta(np.array([np.inf, 0.0]), 3)
-    assert SamcTheta.zeros(1).theta.shape == (0,)
-
-
-def test_theta_model_mismatch_detected():
-    model = uniform_model(4, 2)
-    with pytest.raises(ValueError, match="m=3"):
-        trial_log_density(model, SamcTheta(np.zeros(2), 3), 0)
-
 
 def test_from_chain_wires_tables(chain, model):
     assert model.chain is chain and model.m == chain.m
     np.testing.assert_array_equal(model.pi, chain.pi)
     np.testing.assert_array_equal(model.cdf[:, -1], 1.0)
     np.testing.assert_array_equal(model.steps[:, -1], 0.0)
+    # m = 3, pi uniform, a = 0.1: a visit to label 2 moves the free
+    # components by (-1/30, 2/30), one to the pinned label 3 by -1/30 each
+    flat = uniform_model(3, 3)
+    np.testing.assert_allclose(0.1 * flat.steps[1, :2], [-1 / 30, 2 / 30], rtol=1e-12)
+    np.testing.assert_allclose(0.1 * flat.steps[2, :2], [-1 / 30, -1 / 30], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,69 +187,6 @@ def test_batch_member_matches_solo_run(model):
             np.testing.assert_array_equal(a.theta_sum, b.theta_sum)
 
 
-def test_engine_replays_single_step_operations(chain, model):
-    """The vectorized engine and the scalar operations agree bit for bit.
-
-    The replay consumes the engine's exact randomness: per block of 8192
-    iterations, one block of proposal uniforms then one block of acceptance
-    uniforms, with the proposal read off the row cdf by counting entries
-    <= u.
-    """
-    schedule = GainSchedule()
-    k_max = 20000
-    seed = 11
-    ladder = TruncationLadder(center=np.zeros(2), r0=0.4, reinit_state=0)
-    trace = run_samc(model, schedule, ladder, k_max, seed=seed)
-    assert trace.sigma_events, "r0 must be tight enough to truncate"
-
-    cdf = model.cdf
-    labels = chain.labels
-    log_psi = chain.log_psi
-    log_q = np.where(chain.proposal > 0, np.log(chain.proposal), -np.inf)
-    m, pi = model.m, model.pi
-    ladder = TruncationLadder(center=np.zeros(2), r0=0.4, reinit_state=0)
-    rng = np.random.default_rng(seed)
-    theta = SamcTheta(np.zeros(2), m)
-    x = 0
-    counts = np.zeros(m, dtype=np.int64)
-    thetas = np.empty((k_max, m - 1))
-    events = []
-    k = 0
-    while k < k_max:
-        length = min(8192, k_max - k)
-        u_prop = rng.random(length)
-        u_acc = rng.random(length)
-        for i in range(length):
-            k += 1
-            y = int((cdf[x] <= u_prop[i]).sum())
-            log_r = samc_log_ratio(
-                theta, m, int(labels[x]), int(labels[y]),
-                float(log_psi[x]), float(log_psi[y]),
-                float(log_q[x, y]), float(log_q[y, x]))
-            if u_acc[i] < np.exp(np.minimum(0.0, log_r)):
-                x = y
-            j = int(labels[x])
-            theta_half = samc_update(theta, m, j, pi, gain_at(schedule, k))
-            decision = truncation_decide(theta.theta, theta_half.theta, k,
-                                         schedule, ladder)
-            if decision.accepted:
-                theta = theta_half
-            else:
-                theta = SamcTheta(decision.theta, m)
-                x = decision.state
-                ladder.sigma = decision.sigma
-                events.append(k)
-                j = int(labels[x])
-            counts[j - 1] += 1
-            thetas[k - 1] = theta.theta
-
-    np.testing.assert_array_equal(trace.thetas, thetas)
-    np.testing.assert_array_equal(trace.visit_counts, counts)
-    assert trace.sigma_events == events
-    assert trace.final_state == x
-    assert trace.final_sigma == ladder.sigma
-
-
 def test_snapshots_carry_prefix_sums(model):
     ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
     trace = run_samc(model, GainSchedule(), ladder, 3500, seed=1,
@@ -443,6 +294,57 @@ def random_chain(seed=2024, n=60, m=8):
     proposal = weights / weights.sum(axis=1, keepdims=True)
     return FiniteChainSpec(n_states=n, log_psi=log_psi, labels=labels,
                            proposal=proposal, pi=pi)
+
+
+def samc_problem(model, k_max):
+    """The engine's chain as a run_sa problem, drawing in the engine's order.
+
+    Per block of samc.CHUNK steps the chain draws its proposal uniforms and
+    then its acceptance uniforms. The proposal is the count of cdf entries
+    <= u, and the log ratio is the table's plus theta_x - theta_y.
+    """
+    cdf, ratio, labels = model.cdf, model.ratio_table, model.chain.labels0
+    free = model.steps[:, : model.m - 1]
+
+    def blocks(rng):
+        for k in range(0, k_max, samc.CHUNK):
+            u_prop = rng.random(min(samc.CHUNK, k_max - k))
+            yield from zip(u_prop, rng.random(u_prop.size))
+
+    stream = None
+
+    def sample_step(theta, x, rng):
+        nonlocal stream
+        stream = stream or blocks(rng)
+        u_prop, u_acc = next(stream)
+        y = int((cdf[x] <= u_prop).sum())
+        ext = np.append(theta, 0.0)
+        log_r = ratio[x, y] + (ext[labels[x]] - ext[labels[y]])
+        return y if u_acc < np.exp(np.minimum(0.0, log_r)) else x
+
+    return SaProblem(sample_step=sample_step,
+                     h_noisy=lambda theta, x: free[labels[x]])
+
+
+@pytest.mark.parametrize("make_chain, r0, growth, x0, k_max, seeds", [
+    (chain10, 0.4, 10.0, 0, 20_000, [11]),
+    (random_chain, 2.0, 1.1, 5, 12_000, [21, 22, 23]),
+], ids=["chain10", "random-chain"])
+def test_engine_replays_run_sa(make_chain, r0, growth, x0, k_max, seeds):
+    """The lockstep engine equals the scalar recursion byte for byte."""
+    chain = make_chain()
+    model = SamcModel.from_chain(chain)
+    ladder = TruncationLadder(center=np.zeros(chain.m - 1), r0=r0,
+                              growth=growth, reinit_state=x0)
+    for seed in seeds:
+        trace = run_samc(model, GainSchedule(), ladder, k_max, seed)
+        ref = run_sa(samc_problem(model, k_max), GainSchedule(), ladder,
+                     k_max, seed)
+        assert trace.sigma_events, "r0 must be tight enough to truncate"
+        np.testing.assert_array_equal(trace.thetas, ref.thetas)
+        assert trace.sigma_events == ref.sigma_events
+        assert trace.final_state == ref.final_state
+        assert trace_digest(trace) == trace_digest(ref)
 
 
 def test_batch_engine_golden_digests(model):

@@ -11,12 +11,16 @@ from samcmc import (
     MissingDataModel,
     NonFiniteGradientError,
     RandomWalk,
+    SaProblem,
     TruncationLadder,
     gaussian_location_model,
     load_gaussian_toy,
+    reflect_into_box,
+    run_sa,
     run_samle,
     run_samle_batch,
 )
+from samcmc import samle
 
 YBAR = 0.7409467391596104
 
@@ -208,6 +212,9 @@ def test_argument_validation(toy_y):
         run_samle(model, GainSchedule(), ladder, 0, seed=0)
     with pytest.raises(ValueError, match="sweeps"):
         run_samle(model, GainSchedule(), ladder, 10, seed=0, sweeps=0)
+    for step in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            RandomWalk(step=step)
 
 
 def test_batch_member_matches_solo_run(toy_y):
@@ -299,3 +306,62 @@ def test_batch_engine_reflects_at_narrow_box_walls(toy_y):
     wide = run(gaussian_location_model(toy_y))
     for t, w in zip(traces, wide):
         assert not np.array_equal(t.final_state, w.final_state)
+
+
+def samle_problem(model, proposal, sweeps, k_max):
+    """The engine's chain as a run_sa problem, drawing in the engine's order.
+
+    Per block of samle.CHUNK iterations the chain draws its (length,
+    sweeps, dx) normals, scaled by the step, and then its (length, sweeps)
+    uniforms. Each proposal is reflected into the box, and the model's
+    callables are called on single rows.
+    """
+    box = proposal.bounds or model.x_space
+    predictive = model.predictive_log_density
+
+    def blocks(rng, dx):
+        for k in range(0, k_max, samle.CHUNK):
+            length = min(samle.CHUNK, k_max - k)
+            z = rng.standard_normal((length, sweeps, dx)) * proposal.step
+            yield from zip(z, rng.random((length, sweeps)))
+
+    stream = None
+
+    def sample_step(theta, x, rng):
+        nonlocal stream
+        stream = stream or blocks(rng, x.size)
+        z, u = next(stream)
+        th = theta[None]
+        for s in range(sweeps):
+            y = reflect_into_box(x + z[s], box)
+            log_r = predictive(y[None], th)[0] - predictive(x[None], th)[0]
+            if u[s] < np.exp(np.minimum(log_r, 0.0)):
+                x = y
+        return x
+
+    return SaProblem(
+        sample_step=sample_step,
+        h_noisy=lambda theta, x: model.grad_complete_loglik(x[None], theta[None])[0])
+
+
+@pytest.mark.parametrize("make_model, seeds", [
+    (gaussian_location_model, [0, 5, 7]),
+    (narrow_box_model, [7]),
+], ids=["toy", "narrow-box"])
+def test_engine_replays_run_sa(toy_y, make_model, seeds):
+    """The lockstep engine equals the scalar recursion byte for byte."""
+    model = make_model(toy_y)
+    proposal, sweeps, k_max = RandomWalk(step=0.4), 3, 5000
+    schedule = GainSchedule(c1=0.1)
+    ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                              reinit_state=toy_y.copy())
+    for seed in seeds:
+        trace = run_samle(model, schedule, ladder, k_max, seed,
+                          proposal=proposal, sweeps=sweeps)
+        ref = run_sa(samle_problem(model, proposal, sweeps, k_max), schedule,
+                     ladder, k_max, seed)
+        assert trace.sigma_events, "r0 must be tight enough to truncate"
+        np.testing.assert_array_equal(trace.thetas, ref.thetas)
+        assert trace.sigma_events == ref.sigma_events
+        np.testing.assert_array_equal(trace.final_state, ref.final_state)
+        assert trace_digest(trace) == trace_digest(ref)
