@@ -68,10 +68,18 @@ def test_from_chain_wires_tables(chain, model):
     np.testing.assert_array_equal(model.pi, chain.pi)
     np.testing.assert_array_equal(model.cdf[:, -1], 1.0)
     np.testing.assert_array_equal(model.steps[:, -1], 0.0)
+
+
+def test_samc_update_example():
     # m = 3, pi uniform, a = 0.1: a visit to label 2 moves the free
-    # components by (-1/30, 2/30), one to the pinned label 3 by -1/30 each
+    # components by (-1/30, 2/30)
     flat = uniform_model(3, 3)
     np.testing.assert_allclose(0.1 * flat.steps[1, :2], [-1 / 30, 2 / 30], rtol=1e-12)
+
+
+def test_samc_update_visits_pinned_subregion():
+    # a visit to the pinned label 3 moves each free component by -1/30
+    flat = uniform_model(3, 3)
     np.testing.assert_allclose(0.1 * flat.steps[2, :2], [-1 / 30, -1 / 30], rtol=1e-12)
 
 
