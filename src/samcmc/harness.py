@@ -10,11 +10,12 @@ comparisons must exclude.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -61,18 +62,18 @@ class ExperimentConfig:
     schedule: GainSchedule
     k_max: int
     k0: int
-    chain_file: Path | None = None
-    data_file: Path | None = None
-    r0: float = 10.0
-    growth: float = 10.0
-    theta0: np.ndarray | None = None
-    x0: Any = None
-    replications: int = 1
-    seed: int = 0
-    snapshot_stride: int = 1000
-    proposal_step: float | None = None
-    sweeps: int = 1
-    output_dir: Path = field(default_factory=lambda: Path("out"))
+    chain_file: Path | None
+    data_file: Path | None
+    r0: float
+    growth: float
+    theta0: np.ndarray | None
+    x0: Any
+    replications: int
+    seed: int
+    snapshot_stride: int
+    proposal_step: float | None
+    sweeps: int
+    output_dir: Path
 
 
 def _require(cond: bool, msg: str):
@@ -92,9 +93,11 @@ def _integer(value, name: str) -> int:
 def _real(value, name: str) -> float:
     """A real config value; YAML leaves forms such as 1e-3 as strings."""
     try:
-        return float(value)
+        if not isinstance(value, bool):
+            return float(value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -152,30 +155,33 @@ def load_config(path) -> ExperimentConfig:
         _require(np.all(np.isfinite(theta0)), flat)
     x0 = ladder_raw.get("x0")
 
-    def integer(key: str, default=None) -> int:
-        return _integer(raw.get(key, default), f"{path}: {key}")
+    def integer(key: str, default=None, least=1) -> int:
+        value = _integer(raw.get(key, default), f"{path}: {key}")
+        _require(least is None or value >= least, f"{path}: {key} must be >= {least}")
+        return value
 
     _require("k_max" in raw, f"{path}: missing required key 'k_max'")
     k_max = integer("k_max")
-    _require(k_max >= 1, f"{path}: k_max must be >= 1")
-    k0 = integer("k0", k_max // 10)
+    k0 = integer("k0", k_max // 10, least=None)
     _require(0 <= k0 < k_max, f"{path}: need 0 <= k0 < k_max, got k0={k0}")
     replications = integer("replications", 1)
-    _require(replications >= 1, f"{path}: replications must be >= 1")
-    seed = integer("seed", 0)
-    _require(seed >= 0, f"{path}: seed must be >= 0")
+    seed = integer("seed", 0, least=0)
     snapshot_stride = integer("snapshot_stride", 1000)
-    _require(snapshot_stride >= 1, f"{path}: snapshot_stride must be >= 1")
     sweeps = integer("sweeps", 1)
-    _require(sweeps >= 1, f"{path}: sweeps must be >= 1")
     proposal_step = raw.get("proposal_step")
     if proposal_step is not None:
         proposal_step = _real(proposal_step, f"{path}: proposal_step")
         _require(0 < proposal_step < np.inf,
                  f"{path}: proposal_step must be positive and finite")
 
+    def path_value(key: str, default=None):
+        value = raw.get(key, default)
+        _require(isinstance(value, str) or value is default,
+                 f"{path}: {key} must be a path string, got {value!r}")
+        return value
+
     def resolve(key: str) -> Path | None:
-        value = raw.get(key)
+        value = path_value(key)
         if value is None:
             return None
         p = Path(value)
@@ -189,8 +195,8 @@ def load_config(path) -> ExperimentConfig:
     data_file = resolve("data_file")
 
     # unlike the input files, the output directory need not exist yet
-    output_dir = Path(os.environ.get(OUTPUT_DIR_ENV)
-                      or path.parent / raw.get("output_dir", "out"))
+    output_dir = path_value("output_dir", "out")
+    output_dir = Path(os.environ.get(OUTPUT_DIR_ENV) or path.parent / output_dir)
 
     return ExperimentConfig(
         mode=mode, schedule=schedule, k_max=k_max, k0=k0,
@@ -348,15 +354,8 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
                             seeds, snapshot_stride=config.snapshot_stride,
                             store_thetas=False)
 
-    tbars = np.empty((R, chain.m - 1))
-    lasts = np.empty((R, chain.m - 1))
-    for r, trace in enumerate(traces):
-        try:
-            tbars[r] = trajectory_average(trace, 0)
-            lasts[r] = trace.final_theta
-        except Exception as exc:
-            raise RuntimeError(
-                f"replication {r} (seed {seeds[r]}) failed: {exc}") from exc
+    tbars = np.array([trajectory_average(trace, 0) for trace in traces])
+    lasts = np.array([trace.final_theta for trace in traces])
 
     k = config.k_max
     empirical = k * np.atleast_2d(np.cov(tbars.T, ddof=1))
@@ -440,48 +439,11 @@ def write_trace(trace: RunTrace, path) -> Path:
     return path
 
 
-def read_trace(path) -> dict:
-    """Re-read a trace CSV into arrays keyed by column group."""
-    path = Path(path)
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    theta_cols = [i for i, c in enumerate(header) if c.startswith("theta_")]
-    pi_cols = [i for i, c in enumerate(header) if c.startswith("pi_hat_")]
-    return {
-        "k": data[:, header.index("k")].astype(np.int64),
-        "theta": data[:, theta_cols],
-        "pi_hat": data[:, pi_cols] if pi_cols else None,
-        "sigma": data[:, header.index("sigma")].astype(np.int64),
-    }
-
-
 def _report_payload(report: EfficiencyReport) -> dict:
-    return {
-        "empirical_cov": report.empirical_cov.tolist(),
-        "oracle_gamma": report.oracle_gamma.tolist(),
-        "frobenius_rel_err": report.frobenius_rel_err,
-        "last_iterate_cov": report.last_iterate_cov.tolist(),
-        "per_component_ci": report.per_component_ci,
-        "theta_star": report.theta_star.tolist(),
-        "k_max": report.k_max,
-        "replications": report.replications,
-        "seed": report.seed,
-        "timing": report.timing,
-    }
-
-
-def read_report(path) -> EfficiencyReport:
-    payload = json.loads(Path(path).read_text())
-    return EfficiencyReport(
-        empirical_cov=np.asarray(payload["empirical_cov"]),
-        oracle_gamma=np.asarray(payload["oracle_gamma"]),
-        frobenius_rel_err=payload["frobenius_rel_err"],
-        last_iterate_cov=np.asarray(payload["last_iterate_cov"]),
-        per_component_ci=payload["per_component_ci"],
-        theta_star=np.asarray(payload["theta_star"]),
-        k_max=payload["k_max"],
-        replications=payload["replications"],
-        seed=payload["seed"],
-        timing=payload.get("timing"),
-    )
+    payload = {}
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        payload[f.name] = value
+    return payload

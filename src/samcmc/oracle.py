@@ -75,9 +75,8 @@ class FiniteChainSpec:
 
 @dataclass(frozen=True)
 class NoiseCovariance:
-    """Poisson solution u, limiting noise covariance Q, and Gamma."""
+    """Limiting noise covariance Q and Gamma."""
 
-    u: np.ndarray              # (N, m-1)
     q_matrix: np.ndarray       # (m-1, m-1)
     gamma: np.ndarray          # (m-1, m-1)
 
@@ -271,13 +270,6 @@ def stationary_dist(p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def region_masses(chain: FiniteChainSpec, f: np.ndarray) -> np.ndarray:
-    """Aggregate a state distribution by subregion label."""
-    masses = np.zeros(chain.m)
-    np.add.at(masses, chain.labels0, np.asarray(f, dtype=float))
-    return masses
-
-
 def visit_indicator_table(chain: FiniteChainSpec) -> np.ndarray:
     """Update direction per state: H[x, i] = 1{label(x)=i+1} - pi_i, i < m-1."""
     h = -np.tile(chain.pi[:-1], (chain.n_states, 1))
@@ -340,7 +332,7 @@ def noise_covariance(chain: FiniteChainSpec, theta: np.ndarray) -> NoiseCovarian
     q_matrix = second - np.einsum("x,xi,xj->ij", f, pu, pu, optimize=True)
     fmat = jacobian(theta, exact_omega(chain), chain.pi)
     gamma = asymptotic_cov(fmat, q_matrix)
-    return NoiseCovariance(u=u, q_matrix=q_matrix, gamma=gamma)
+    return NoiseCovariance(q_matrix=q_matrix, gamma=gamma)
 
 
 def asymptotic_cov(fmat: np.ndarray, q_matrix: np.ndarray) -> np.ndarray:

@@ -48,18 +48,6 @@ class GainSchedule:
         if not self.alpha >= 2:
             raise ValueError("alpha must be >= 2")
 
-    @classmethod
-    def for_samc(cls, c1: float = 1.0, eta: float = 0.7, tau: float = 0.5,
-                 alpha: float = 10.0) -> "GainSchedule":
-        """Threshold slaved to the gain: b_k = 2*a_k^((1+tau)/2).
-
-        With the update direction bounded by sqrt(2) this threshold never
-        binds, so truncations can only come from leaving the active set.
-        """
-        power = 0.5 * (1.0 + tau)
-        return cls(c1=c1, eta=eta, c2=2.0 * c1 ** power, xi=eta * power,
-                   tau=tau, alpha=alpha)
-
 
 def gain_at(schedule: GainSchedule, k: int) -> float:
     return schedule.c1 * k ** -schedule.eta

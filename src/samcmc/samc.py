@@ -84,10 +84,6 @@ class SamcModel:
     def m(self) -> int:
         return self.chain.m
 
-    @property
-    def pi(self) -> np.ndarray:
-        return self.chain.pi
-
 
 def omega_hat(theta_bar, pi: np.ndarray) -> np.ndarray:
     """Subregion weight estimates from an averaged theta.

@@ -1,8 +1,11 @@
 """Config loading, run orchestration, artifacts, and the CLI front end."""
 
+import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+import re
 import textwrap
 import types
 from pathlib import Path
@@ -18,8 +21,6 @@ from samcmc import (
     ScheduleValidationError,
     chain10,
     load_config,
-    read_report,
-    read_trace,
     run_replications,
     run_single,
     trajectory_average,
@@ -69,6 +70,22 @@ def test_all_lists_every_public_name_once():
     assert set(samcmc.__all__) == public
 
 
+def test_benchmark_hooks_resolve():
+    # the benchmark under bench/ wraps and calls samcmc names from outside
+    # the package; a deletion that breaks it should fail here first
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.FUNCTIONS + tracing.HOT_FUNCTIONS:
+        assert callable(getattr(getattr(samcmc, module), attr, None)), (module, attr)
+    for module, cls_name, attr, _, _ in tracing.METHODS:
+        assert attr in vars(getattr(getattr(samcmc, module), cls_name)), (cls_name, attr)
+    for script in sorted(bench.glob("*.py")):
+        for name in set(re.findall(r"\bsamcmc\.([A-Za-z_]\w*)", script.read_text())):
+            assert hasattr(samcmc, name), (script.name, name)
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -104,6 +121,7 @@ def test_config_error_catalog(tmp_path):
         ("mode: samc\n", "missing required key 'k_max'"),
         ("mode: samc\nk_max: 0\n", "k_max must be >= 1"),
         ("mode: samc\nk_max: 10\nk0: 10\n", "need 0 <= k0 < k_max"),
+        ("mode: samc\nk_max: 10\nk0: -1\n", "need 0 <= k0 < k_max, got k0=-1"),
         ("mode: samc\nk_max: 10\nreplications: 0\n", "replications must be >= 1"),
         ("mode: samc\nk_max: 10\nsnapshot_stride: 0\n", "snapshot_stride"),
         ("mode: samc\nk_max: 10\nsweeps: 0\n", "sweeps must be >= 1"),
@@ -123,6 +141,11 @@ def test_config_error_catalog(tmp_path):
         ("mode: samc\nk_max: 10\nsnapshot_stride: 1e3\n",
          "snapshot_stride must be an integer, got '1e3'"),
         ("mode: samc\nk_max: 10\nsweeps: [1]\n", "sweeps must be an integer"),
+        ("mode: samc\nk_max: 10\nschedule: {c1: yes}\n",
+         "schedule c1 must be a number, got True"),
+        ("mode: samc\nk_max: 10\nladder: {r0: true}\n", "ladder r0 must be a number, got True"),
+        ("mode: samc\nk_max: 10\nladder: {theta0: [true, 0]}\n",
+         "ladder theta0 entry must be a number, got True"),
         ("- just\n- a list\n", "must be a key-value mapping"),
     ]
     for i, (text, fragment) in enumerate(cases):
@@ -240,13 +263,16 @@ def test_trace_round_trip_is_exact(tmp_path):
     paths = write_outputs(trace, config.output_dir, summary=summary)
     assert [p.name for p in paths] == ["trace_samc_7.csv", "summary_samc_7.json"]
 
-    data = read_trace(paths[0])
-    np.testing.assert_array_equal(data["k"], [1000, 2000, 3000])
-    for i, snap in enumerate(trace.snapshots):
+    header, *rows = paths[0].read_text().splitlines()
+    assert header == "k,theta_1,theta_2,pi_hat_1,pi_hat_2,pi_hat_3,sigma"
+    assert len(rows) == len(trace.snapshots) == 3
+    for row, snap, k in zip(rows, trace.snapshots, [1000, 2000, 3000]):
+        values = row.split(",")
+        assert int(values[0]) == snap.k == k
         # 17 significant digits reproduce every float64 bit for bit
-        np.testing.assert_array_equal(data["theta"][i], snap.theta)
-        np.testing.assert_array_equal(data["pi_hat"][i], snap.pi_hat)
-        assert data["sigma"][i] == snap.sigma
+        np.testing.assert_array_equal([float(v) for v in values[1:3]], snap.theta)
+        np.testing.assert_array_equal([float(v) for v in values[3:6]], snap.pi_hat)
+        assert int(values[6]) == snap.sigma
 
     stored = json.loads(paths[1].read_text())
     assert stored == summary
@@ -261,9 +287,9 @@ def test_samle_trace_has_no_pi_columns(tmp_path):
     """))
     trace, _ = run_single(config)
     path = write_outputs(trace, tmp_path / "o")[0]
-    data = read_trace(path)
-    assert data["pi_hat"] is None
-    np.testing.assert_array_equal(data["k"], [1000, 1500])
+    header, *rows = path.read_text().splitlines()
+    assert header == "k,theta_1,sigma"
+    assert [row.split(",")[0] for row in rows] == ["1000", "1500"]
 
 
 def test_repeat_runs_are_identical_outside_timing(tmp_path):
@@ -336,15 +362,19 @@ def test_report_round_trip(small_report, tmp_path):
     _, report = small_report
     path = write_outputs(report, tmp_path)[0]
     assert path.name == "efficiency_report.json"
-    back = read_report(path)
-    assert isinstance(back, EfficiencyReport)
-    np.testing.assert_array_equal(back.empirical_cov, report.empirical_cov)
-    np.testing.assert_array_equal(back.oracle_gamma, report.oracle_gamma)
-    assert back.frobenius_rel_err == report.frobenius_rel_err
-    assert back.per_component_ci == report.per_component_ci
+    back = json.loads(path.read_text())
+    names = [f.name for f in dataclasses.fields(EfficiencyReport)]
+    assert sorted(back) == sorted(names)
+    for name in names:
+        value = getattr(report, name)
+        if isinstance(value, np.ndarray):
+            # 17 significant digits: every float64 comes back bit for bit
+            np.testing.assert_array_equal(np.array(back[name]), value)
+        else:
+            assert back[name] == value, name
     # both scaled covariance estimates must be symmetric PSD
-    for mat in (back.empirical_cov, back.last_iterate_cov):
-        assert np.linalg.eigvalsh(mat).min() >= -1e-10
+    for name in ("empirical_cov", "last_iterate_cov"):
+        assert np.linalg.eigvalsh(np.array(back[name])).min() >= -1e-10
 
 
 def test_write_outputs_rejects_unknown_payload(tmp_path):
@@ -484,13 +514,22 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     ("samc", "ladder: {theta0: [a, 1]}", "ladder theta0 entry must be a number, got 'a'"),
     ("samle", "proposal_step: fast", "proposal_step must be a number, got 'fast'"),
     ("samle", "proposal_step: .inf", "proposal_step must be positive and finite"),
+    ("samc", "chain_file: [a]", "chain_file must be a path string, got ['a']"),
+    ("samc", "chain_file: 7", "chain_file must be a path string, got 7"),
+    ("samle", "data_file: 7", "data_file must be a path string, got 7"),
+    ("samc", "output_dir: 5", "output_dir must be a path string, got 5"),
+    ("samc", "output_dir: null", "output_dir must be a path string, got None"),
 ], ids=["nan-c1", "nan-theta0", "k_max-1e5", "k_max-abc", "k_max-float",
         "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length",
-        "r0-abc", "theta0-entry-abc", "proposal_step-abc", "proposal_step-inf"])
+        "r0-abc", "theta0-entry-abc", "proposal_step-abc", "proposal_step-inf",
+        "chain_file-list", "chain_file-int", "data_file-int", "output_dir-int",
+        "output_dir-null"])
 def test_cli_reports_bad_config_values(tmp_path, capsys, mode, text, message):
     out = tmp_path / "out"
     body = text if text.startswith("k_max") else f"k_max: 1000\n{text}"
-    p = write_config(tmp_path, f"mode: {mode}\n{body}\noutput_dir: {out}\n")
+    if not text.startswith("output_dir"):
+        body += f"\noutput_dir: {out}"
+    p = write_config(tmp_path, f"mode: {mode}\n{body}\n")
     assert main([f"run-{mode}", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err

@@ -78,17 +78,6 @@ def test_schedule_field_validation():
         GainSchedule(c1=float("inf"))
 
 
-def test_for_samc_threshold_rule():
-    # the SAMC default is b_k = 2 * a_k^((1+tau)/2); for_samc encodes it
-    # as an equivalent power law
-    sched = GainSchedule.for_samc(c1=1.0, eta=0.7)
-    for k in (1, 10, 1000):
-        a = gain_at(sched, k)
-        assert abs(threshold_at(sched, k) - 2 * a ** 0.75) < 1e-12
-    assert abs(sched.xi - 0.525) < 1e-15
-    assert validate_schedule(sched).passed
-
-
 def test_validator_default_passes():
     report = validate_schedule(GainSchedule())
     assert report.passed

@@ -65,7 +65,6 @@ def uniform_model(n, m):
 
 def test_from_chain_wires_tables(chain, model):
     assert model.chain is chain and model.m == chain.m
-    np.testing.assert_array_equal(model.pi, chain.pi)
     np.testing.assert_array_equal(model.cdf[:, -1], 1.0)
     np.testing.assert_array_equal(model.steps[:, -1], 0.0)
 
