@@ -33,34 +33,15 @@ def _fmt_mat(m) -> str:
     return "\n".join("    " + _fmt_vec(row) for row in m)
 
 
-def _load(config_path: str):
-    """Shared config loading with CLI-grade error reporting."""
-    try:
-        return load_config(config_path), 0
-    except ScheduleValidationError as exc:
-        print(exc.report, file=sys.stderr)
-        print(f"error: {exc}", file=sys.stderr)
-        return None, 1
-
-
 def _cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except ScheduleValidationError as exc:
-        print(exc.report)
-        return 1
-    print(validate_schedule(config.schedule))
+    print(validate_schedule(load_config(args.config).schedule))
     return 0
 
 
 def _cmd_run(args, mode: str) -> int:
-    config, rc = _load(args.config)
-    if config is None:
-        return rc
+    config = load_config(args.config)
     if config.mode != mode:
-        print(f"error: config mode is {config.mode!r}, expected {mode!r}",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"config mode is {config.mode!r}, expected {mode!r}")
     trace, summary = run_single(config)
     paths = write_outputs(trace, config.output_dir, summary=summary)
     print(f"seed {trace.seed}: {trace.k} iterations, "
@@ -78,10 +59,7 @@ def _cmd_run(args, mode: str) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config, rc = _load(args.config)
-    if config is None:
-        return rc
-    chain = load_chain(config)
+    chain = load_chain(load_config(args.config))
     omega = exact_omega(chain)
     tstar = theta_star(omega, chain.pi)
     zero = np.zeros(chain.m - 1)
@@ -99,14 +77,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    config, rc = _load(args.config)
-    if config is None:
-        return rc
-    try:
-        report = run_replications(config)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = load_config(args.config)
+    report = run_replications(config)
     paths = write_outputs(report, config.output_dir)
     print(f"replications: {report.replications}, k_max: {report.k_max}")
     print("empirical k*Cov(theta_bar):")
@@ -138,7 +110,6 @@ def main(argv=None) -> int:
         p.add_argument("config", help="path to a YAML experiment config")
 
     args = parser.parse_args(argv)
-    # a bad config, a missing or malformed input file: user errors, exit 2
     try:
         if args.command == "validate":
             return _cmd_validate(args)
@@ -149,7 +120,16 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return _cmd_oracle(args)
         return _cmd_efficiency(args)
-    except (ConfigError, OSError) as exc:
+    except ScheduleValidationError as exc:
+        # validate answers with the report; a run fails with it
+        if args.command == "validate":
+            print(exc.report)
+        else:
+            print(f"{exc.report}\nerror: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
+        # a bad config, a missing or malformed input file, or a chain the
+        # oracle cannot analyse: user errors, exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -254,12 +254,11 @@ def _samc_ladder(config: ExperimentConfig, chain: FiniteChainSpec) -> Truncation
 
 
 def _samle_ladder(config: ExperimentConfig, y: np.ndarray) -> TruncationLadder:
-    try:
-        x0 = np.array(y if config.x0 is None else config.x0, dtype=float)
-    except (TypeError, ValueError):
-        x0 = None
-    _require(x0 is not None and x0.shape == y.shape and np.all(np.isfinite(x0)),
-             f"ladder x0 must list {y.size} finite latent values, one per observation")
+    x0 = y if config.x0 is None else config.x0
+    values = f"ladder x0 must list {y.size} finite latent values, one per observation"
+    _require(isinstance(x0, (list, np.ndarray)) and len(x0) == y.size, values)
+    x0 = np.array([_real(v, "ladder x0 entry") for v in x0])
+    _require(np.all(np.isfinite(x0)), values)
     return _build_ladder(config, 1, x0)
 
 
@@ -344,7 +343,7 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
         raise ConfigError("replication experiments need mode: samc")
     R = config.replications
     if R < 2:
-        raise ValueError(f"need R >= 2 for covariance estimates, got R={R}")
+        raise ConfigError(f"need R >= 2 for covariance estimates, got R={R}")
     start = time.perf_counter()
     chain = load_chain(config)
     model = SamcModel.from_chain(chain)
@@ -389,25 +388,24 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
 
 
 def write_outputs(obj, output_dir, *, summary: dict | None = None) -> list[Path]:
-    """Persist a run trace (plus summary) or an efficiency report.
+    """Persist a run trace with its summary, or an efficiency report.
 
     Trace rows carry {k, theta, pi_hat, sigma} per snapshot; floats print
     with 17 significant digits so re-reading reproduces the exact values.
-    A trace written with its summary is named by the summary's mode and
-    the seed (trace_samc_0.csv, summary_samc_0.json), so samc and samle
-    runs can share an output directory and a seed. Returns the written
-    paths.
+    A trace and its summary are named by the summary's mode and the seed
+    (trace_samc_0.csv, summary_samc_0.json), so samc and samle runs can
+    share an output directory and a seed. Returns the written paths.
     """
+    if isinstance(obj, RunTrace) and summary is None:
+        raise ValueError("a trace is written with its run summary")
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     if isinstance(obj, RunTrace):
-        tag = f"{obj.seed}" if summary is None else f"{summary['mode']}_{obj.seed}"
-        paths = [write_trace(obj, output_dir / f"trace_{tag}.csv")]
-        if summary is not None:
-            spath = output_dir / f"summary_{tag}.json"
-            spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-            paths.append(spath)
-        return paths
+        tag = f"{summary['mode']}_{obj.seed}"
+        tpath = write_trace(obj, output_dir / f"trace_{tag}.csv")
+        spath = output_dir / f"summary_{tag}.json"
+        spath.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        return [tpath, spath]
     if isinstance(obj, EfficiencyReport):
         rpath = output_dir / "efficiency_report.json"
         rpath.write_text(json.dumps(_report_payload(obj), indent=2,

@@ -157,14 +157,12 @@ class TruncationLadder:
     """Nested norm balls K_s of radius r0*growth^s around a fixed center.
 
     A run's truncation count s selects the active ball. The reset map is
-    deterministic: back to (reinit_theta, reinit_state), which defaults to
-    the center and is required to lie in the base ball.
+    deterministic: back to (center, reinit_state), where every run starts.
     """
 
     center: np.ndarray
     r0: float = 10.0
     growth: float = 10.0
-    reinit_theta: np.ndarray | None = None
     reinit_state: Any = None
 
     def __post_init__(self):
@@ -174,23 +172,19 @@ class TruncationLadder:
             raise ValueError("r0 must be positive")
         if not self.growth > 1:
             raise ValueError("growth must exceed 1")
-        if self.reinit_theta is None:
-            self.reinit_theta = self.center.copy()
-        else:
-            self.reinit_theta = np.atleast_1d(np.asarray(self.reinit_theta, dtype=float))
-        if not (np.all(np.isfinite(self.center))
-                and np.all(np.isfinite(self.reinit_theta))):
-            raise ValueError("center and reinit_theta must be finite")
-        if not np.linalg.norm(self.reinit_theta - self.center) <= self.r0:
-            raise ValueError("reinit_theta must lie in the base ball K_0")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("center must be finite")
 
-    def radius_at(self, s: int) -> float:
-        # saturates instead of overflowing: past float range the ball is
-        # effectively all of R^d and containment must stay trivially true
-        try:
-            return self.r0 * self.growth ** s
-        except OverflowError:
-            return float("inf")
+    def radius_at(self, s: int | np.ndarray) -> float | np.ndarray:
+        """Radius of K_s for a count or an integer array of counts.
+
+        Past float range the ball saturates to all of R^d. A count is
+        computed as a length-1 array, since numpy's power may round a 0-d
+        operand differently from an array element.
+        """
+        with np.errstate(over="ignore"):
+            radius = self.r0 * self.growth ** np.array(s, dtype=float, ndmin=1)
+        return radius if np.ndim(s) else radius[0]
 
     def contains(self, theta: np.ndarray, s: int) -> bool:
         # past float range the norm saturates to inf like the radius does
@@ -328,12 +322,12 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
            k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
     """Run the varying-truncation recursion for k_max iterations.
 
-    The run starts at (ladder.reinit_theta, ladder.reinit_state) and is
+    The run starts at (ladder.center, ladder.reinit_state) and is
     bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
     """
     _check_run_args(k_max, snapshot_stride)
     rng = np.random.default_rng(seed)
-    theta = ladder.reinit_theta.copy()
+    theta = ladder.center.copy()
     x = ladder.reinit_state
     sigma = 0
     d = theta.shape[0]
@@ -352,7 +346,7 @@ def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
         if move <= threshold_at(schedule, k) and ladder.contains(theta_half, sigma):
             theta = theta_half
         else:
-            theta = ladder.reinit_theta.copy()
+            theta = ladder.center.copy()
             x = ladder.reinit_state
             sigma += 1
             events.append(k)
@@ -386,15 +380,11 @@ class Lockstep:
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.sig = np.zeros(B, dtype=np.int64)
-        self.radius = self._radius()
+        self.radius = ladder.radius_at(self.sig)
         self.events: list[list[int]] = [[] for _ in range(B)]
         self.ksum = KahanSum((B, d))
         self.thetas = np.empty((B, k_max, d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-
-    def _radius(self) -> np.ndarray:
-        with np.errstate(over="ignore"):  # huge sigma saturates to inf
-            return self.ladder.r0 * self.ladder.growth ** self.sig.astype(float)
 
     def block_schedule(self, k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
@@ -407,7 +397,7 @@ class Lockstep:
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""
         self.sig += mask
-        self.radius = self._radius()
+        self.radius = self.ladder.radius_at(self.sig)
         for b in np.nonzero(mask)[0]:
             self.events[b].append(k)
 

@@ -177,7 +177,6 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     row_norm = model.row_norm
 
     center = ladder.center
-    reinit_theta = ladder.reinit_theta
     if center.shape != (m - 1,):
         raise ValueError(f"ladder center must have shape ({m - 1},)")
     x0 = ladder.reinit_state
@@ -188,8 +187,8 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
         raise ValueError(f"initial state {x0} outside 0..{n - 1}")
     label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
-    reinit_ext = np.append(reinit_theta, 0.0)
-    reinit_max = float(np.abs(reinit_theta).max(initial=0.0))
+    reinit_ext = np.append(center, 0.0)
+    reinit_max = float(np.abs(center).max(initial=0.0))
 
     B = len(seeds)
     rows = np.arange(B)

@@ -155,7 +155,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     and folded into the compensated running sum at every snapshot and when
     the block ends.
     """
-    lock = Lockstep(schedule, ladder, k_max, seeds, ladder.reinit_theta.size,
+    lock = Lockstep(schedule, ladder, k_max, seeds, ladder.center.size,
                     snapshot_stride, store_thetas)
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -165,12 +165,11 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     score = model.grad_complete_loglik
 
     center = ladder.center
-    reinit_theta = ladder.reinit_theta
     x0 = ladder.reinit_state
     if x0 is None:
         raise ValueError("ladder.reinit_state must hold the initial latent data")
     x0 = np.asarray(x0, dtype=float)
-    d = reinit_theta.size
+    d = center.size
     dx = x0.size
 
     B = len(seeds)
@@ -193,7 +192,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     # row i + 1 holds theta after the block's i-th step, row 0 the block's
     # starting theta; the truncation test writes its half-step in place
     path = np.empty((CHUNK + 1, B, d))
-    path[0] = reinit_theta
+    path[0] = center
     # row 0 tests the move |theta_half - theta| against b_k, row 1 the
     # distance |theta_half - center| against the active ball's radius
     sq = np.empty((2, B, d))
@@ -257,7 +256,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             np.less_equal(norms, limits[i], out=within)
             if np.count_nonzero(within) < within.size:
                 reset = ~(within[0] & within[1])
-                np.copyto(th_half, reinit_theta, where=reset[:, None])
+                np.copyto(th_half, center, where=reset[:, None])
                 np.copyto(xs, x0, where=reset[:, None])
                 lock.reset(reset, k)
                 limits[i + 1:length, 1] = lock.radius

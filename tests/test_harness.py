@@ -1,8 +1,10 @@
 """Config loading, run orchestration, artifacts, and the CLI front end."""
 
+import ast
 import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -17,6 +19,7 @@ import samcmc
 from samcmc import (
     ConfigError,
     EfficiencyReport,
+    FiniteChainSpec,
     OUTPUT_DIR_ENV,
     ScheduleValidationError,
     chain10,
@@ -82,8 +85,29 @@ def test_benchmark_hooks_resolve():
     for module, cls_name, attr, _, _ in tracing.METHODS:
         assert attr in vars(getattr(getattr(samcmc, module), cls_name)), (cls_name, attr)
     for script in sorted(bench.glob("*.py")):
-        for name in set(re.findall(r"\bsamcmc\.([A-Za-z_]\w*)", script.read_text())):
+        source = script.read_text()
+        for name in set(re.findall(r"\bsamcmc\.([A-Za-z_]\w*)", source)):
             assert hasattr(samcmc, name), (script.name, name)
+        # each samcmc.<name>(...) call still binds: its keywords are still
+        # parameters and its positional arguments still fit
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            names, func = [], call.func
+            while isinstance(func, ast.Attribute):
+                names.insert(0, func.attr)
+                func = func.value
+            if not (isinstance(func, ast.Name) and func.id == "samcmc"):
+                continue
+            target = samcmc
+            for name in names:
+                target = getattr(target, name)
+            try:
+                inspect.signature(target).bind(
+                    *call.args, **{kw.arg: None for kw in call.keywords})
+            except TypeError as exc:
+                pytest.fail(f"{script.name}:{call.lineno}: samcmc."
+                            f"{'.'.join(names)}(...) no longer binds: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +309,8 @@ def test_samle_trace_has_no_pi_columns(tmp_path):
         snapshot_stride: 1000
         schedule: {c1: 0.1}
     """))
-    trace, _ = run_single(config)
-    path = write_outputs(trace, tmp_path / "o")[0]
+    trace, summary = run_single(config)
+    path = write_outputs(trace, tmp_path / "o", summary=summary)[0]
     header, *rows = path.read_text().splitlines()
     assert header == "k,theta_1,sigma"
     assert [row.split(",")[0] for row in rows] == ["1000", "1500"]
@@ -300,8 +324,8 @@ def test_repeat_runs_are_identical_outside_timing(tmp_path):
     summary_a.pop("timing")
     summary_b.pop("timing")
     assert summary_a == summary_b
-    path_a = write_outputs(trace_a, tmp_path / "a")[0]
-    path_b = write_outputs(trace_b, tmp_path / "b")[0]
+    path_a = write_outputs(trace_a, tmp_path / "a", summary=summary_a)[0]
+    path_b = write_outputs(trace_b, tmp_path / "b", summary=summary_b)[0]
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
@@ -311,7 +335,7 @@ def test_repeat_runs_are_identical_outside_timing(tmp_path):
 
 def test_replications_require_at_least_two(tmp_path):
     config = load_config(write_config(tmp_path, "mode: samc\nk_max: 100\n"))
-    with pytest.raises(ValueError, match="need R >= 2"):
+    with pytest.raises(ConfigError, match="need R >= 2"):
         run_replications(config)
     config = load_config(write_config(
         tmp_path, "mode: samle\nk_max: 100\nreplications: 4\n",
@@ -380,6 +404,11 @@ def test_report_round_trip(small_report, tmp_path):
 def test_write_outputs_rejects_unknown_payload(tmp_path):
     with pytest.raises(TypeError, match="cannot write outputs"):
         write_outputs({"not": "a trace"}, tmp_path)
+    trace, _ = run_single(load_config(write_config(
+        tmp_path, "mode: samc\nk_max: 10\n")))
+    with pytest.raises(ValueError, match="with its run summary"):
+        write_outputs(trace, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +539,8 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     ("samc", "ladder: {x0: 99}", "ladder x0 must be a state in 0..9, got 99"),
     ("samc", "ladder: {x0: 1.5}", "ladder x0 must be an integer, got 1.5"),
     ("samle", "ladder: {x0: [1.0, 2.0]}", "ladder x0 must list 20 finite latent"),
+    ("samle", "ladder: {x0: [%s]}" % ", ".join(["true"] * 20),
+     "ladder x0 entry must be a number, got True"),
     ("samc", "ladder: {r0: abc}", "ladder r0 must be a number, got 'abc'"),
     ("samc", "ladder: {theta0: [a, 1]}", "ladder theta0 entry must be a number, got 'a'"),
     ("samle", "proposal_step: fast", "proposal_step must be a number, got 'fast'"),
@@ -521,9 +552,9 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     ("samc", "output_dir: null", "output_dir must be a path string, got None"),
 ], ids=["nan-c1", "nan-theta0", "k_max-1e5", "k_max-abc", "k_max-float",
         "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length",
-        "r0-abc", "theta0-entry-abc", "proposal_step-abc", "proposal_step-inf",
-        "chain_file-list", "chain_file-int", "data_file-int", "output_dir-int",
-        "output_dir-null"])
+        "samle-x0-bool", "r0-abc", "theta0-entry-abc", "proposal_step-abc",
+        "proposal_step-inf", "chain_file-list", "chain_file-int", "data_file-int",
+        "output_dir-int", "output_dir-null"])
 def test_cli_reports_bad_config_values(tmp_path, capsys, mode, text, message):
     out = tmp_path / "out"
     body = text if text.startswith("k_max") else f"k_max: 1000\n{text}"
@@ -550,6 +581,25 @@ def test_cli_reports_malformed_chain_file(tmp_path, capsys, command, mode):
     assert main([command, str(p)]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: pi must be positive and sum to 1\n")
+
+
+@pytest.mark.parametrize("command", ["oracle", "efficiency"])
+def test_cli_reports_reducible_chain(tmp_path, capsys, command):
+    # two blocks of two states that no proposal connects: the MH kernel is
+    # reducible, so the oracle has no stationary law to offer
+    block = np.full((2, 2), 0.5)
+    proposal = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
+    chain = FiniteChainSpec(n_states=4, log_psi=np.zeros(4),
+                            labels=np.array([1, 1, 2, 2]), proposal=proposal,
+                            pi=np.array([0.5, 0.5]))
+    dump_chain_file(chain, tmp_path / "chain.txt")
+    p = write_config(tmp_path, "mode: samc\nk_max: 200\nreplications: 2\n"
+                               f"chain_file: chain.txt\noutput_dir: {tmp_path / 'out'}\n")
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: kernel not irreducible\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -130,9 +130,7 @@ def test_mean_field_descends_squared_error(toy_y):
 
 def test_zero_gradient_leaves_theta_fixed():
     model = flat_model(2, lambda x, theta: np.zeros(1))
-    ladder = TruncationLadder(center=np.zeros(1),
-                              reinit_theta=np.array([0.3]),
-                              reinit_state=np.zeros(2))
+    ladder = TruncationLadder(center=np.array([0.3]), reinit_state=np.zeros(2))
     trace = run_samle(model, GainSchedule(), ladder, 50, seed=1)
     assert np.all(trace.thetas == 0.3)
     assert trace.sigma_events == []
