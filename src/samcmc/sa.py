@@ -17,6 +17,7 @@ convergence theory needs, clause by clause.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -186,12 +187,6 @@ class TruncationLadder:
             radius = self.r0 * self.growth ** np.array(s, dtype=float, ndmin=1)
         return radius if np.ndim(s) else radius[0]
 
-    def contains(self, theta: np.ndarray, s: int) -> bool:
-        # past float range the norm saturates to inf like the radius does
-        with np.errstate(over="ignore"):
-            dist = np.linalg.norm(np.asarray(theta) - self.center)
-        return bool(dist <= self.radius_at(s))
-
 
 # ---------------------------------------------------------------------------
 # run traces
@@ -298,70 +293,8 @@ def trajectory_average(trace: RunTrace, k0: int = 0) -> np.ndarray:
         f"light trace: k0={k0} must be 0 or a snapshot point for averaging")
 
 
-@dataclass(frozen=True)
-class SaProblem:
-    """A generic stochastic-approximation problem.
-
-    sample_step(theta, x, rng) advances the sample-chain one step; it must
-    leave the theta-indexed stationary law invariant (caller's obligation).
-    h_noisy(theta, x_new) returns the update direction H(theta, x_new).
-    """
-
-    sample_step: Callable[[np.ndarray, Any, np.random.Generator], Any]
-    h_noisy: Callable[[np.ndarray, Any], np.ndarray]
-
-
-def _check_run_args(k_max: int, snapshot_stride: int) -> None:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if snapshot_stride < 1:
-        raise ValueError("snapshot_stride must be >= 1")
-
-
-def run_sa(problem, schedule: GainSchedule, ladder: TruncationLadder,
-           k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
-    """Run the varying-truncation recursion for k_max iterations.
-
-    The run starts at (ladder.center, ladder.reinit_state) and is
-    bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
-    """
-    _check_run_args(k_max, snapshot_stride)
-    rng = np.random.default_rng(seed)
-    theta = ladder.center.copy()
-    x = ladder.reinit_state
-    sigma = 0
-    d = theta.shape[0]
-    thetas = np.empty((k_max, d))
-    acc = KahanSum(d)
-    events: list[int] = []
-    snapshots: list[Snapshot] = []
-    for k in range(1, k_max + 1):
-        x = problem.sample_step(theta, x, rng)
-        direction = np.asarray(problem.h_noisy(theta, x), dtype=float)
-        theta_half = theta + gain_at(schedule, k) * direction
-        if not np.all(np.isfinite(theta_half)):
-            raise NonFiniteIterateError(k, theta_half)
-        # accept the half-step iff it moved at most b_k and stayed in K_sigma
-        move = np.linalg.norm(theta_half - theta)
-        if move <= threshold_at(schedule, k) and ladder.contains(theta_half, sigma):
-            theta = theta_half
-        else:
-            theta = ladder.center.copy()
-            x = ladder.reinit_state
-            sigma += 1
-            events.append(k)
-        thetas[k - 1] = theta
-        acc.add(theta)
-        if k % snapshot_stride == 0 or k == k_max:
-            snapshots.append(Snapshot(k=k, theta=theta.copy(), pi_hat=None,
-                                      sigma=sigma, theta_sum=acc.value.copy()))
-    return RunTrace(thetas=thetas, sigma_events=events, running_sum=acc.value,
-                    k=k_max, seed=seed, snapshots=snapshots, final_theta=theta.copy(),
-                    final_sigma=sigma, final_state=x)
-
-
 class Lockstep:
-    """Bookkeeping of B chains that a vectorized engine runs in lockstep.
+    """Bookkeeping of B chains that an engine runs in lockstep.
 
     Chain b draws only from rngs[b] = default_rng(seeds[b]). The engine
     moves every chain and reports truncations (reset) and blocks of
@@ -373,7 +306,10 @@ class Lockstep:
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
                  k_max: int, seeds: Sequence[int], d: int,
                  snapshot_stride: int, store_thetas: bool):
-        _check_run_args(k_max, snapshot_stride)
+        if k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        if snapshot_stride < 1:
+            raise ValueError("snapshot_stride must be >= 1")
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
         self.ladder = ladder
         self.stride = snapshot_stride
@@ -386,13 +322,11 @@ class Lockstep:
         self.thetas = np.empty((B, k_max, d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
 
-    def block_schedule(self, k: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    def block_schedule(self, k: int, length: int) -> tuple[list[float], list[float]]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
         js = range(k + 1, k + length + 1)
-        gains = np.fromiter((gain_at(self.schedule, j) for j in js), float, length)
-        thresholds = np.fromiter((threshold_at(self.schedule, j) for j in js),
-                                 float, length)
-        return gains, thresholds
+        return ([gain_at(self.schedule, j) for j in js],
+                [threshold_at(self.schedule, j) for j in js])
 
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""
@@ -438,3 +372,85 @@ class Lockstep:
             )
             for b, seed in enumerate(self.seeds)
         ]
+
+
+@dataclass(frozen=True)
+class SaProblem:
+    """A generic stochastic-approximation problem.
+
+    sample_step(theta, x, rng) advances the sample-chain one step; it must
+    leave the theta-indexed stationary law invariant (caller's obligation).
+    h_noisy(theta, x_new) returns the update direction H(theta, x_new) as a
+    sequence of floats. Both get theta as a list of floats, which they must
+    not modify. If labels is given, labels[x] is the subregion index of
+    sample point x, from 0 to max(labels), and run_sa counts the visits.
+    """
+
+    sample_step: Callable[[list[float], Any, np.random.Generator], Any]
+    h_noisy: Callable[[list[float], Any], Sequence[float]]
+    labels: Sequence[int] | None = None
+
+
+def _dist(u: Sequence[float], v: Sequence[float]) -> float:
+    """Norm of u - v as the engines round it, inf past float range.
+
+    np.add.reduce adds fewer than 8 entries left to right, as here, and
+    more in a pairwise order, so those are left to it.
+    """
+    if len(u) < 8:
+        total = 0.0
+        for p, q in zip(u, v):
+            total += (p - q) * (p - q)
+        return math.sqrt(total)
+    with np.errstate(over="ignore"):
+        w = np.subtract(u, v)
+        return math.sqrt(np.add.reduce(w * w))
+
+
+# most iterations kept as Python lists before they are stored and folded
+BLOCK = 4096
+
+
+def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
+           k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
+    """Run the varying-truncation recursion for k_max iterations.
+
+    The run starts at (ladder.center, ladder.reinit_state) and is
+    bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
+    This is the lockstep engines' recursion for one chain, on Python
+    floats: the same norms and ball radii, and Lockstep's bookkeeping,
+    with blocks of iterates folded in at every snapshot.
+    """
+    lock = Lockstep(schedule, ladder, k_max, [seed], ladder.center.size,
+                    snapshot_stride, store_thetas=True)
+    sample_step, h_noisy, labels = problem.sample_step, problem.h_noisy, problem.labels
+    rng, radius = lock.rngs[0], float(lock.radius[0])
+    center, reinit = ladder.center.tolist(), ladder.reinit_state
+    theta, x = center, reinit
+    counts = None if labels is None else [0] * (max(labels) + 1)
+    k = 0
+    while k < k_max:
+        length = min(BLOCK, k_max - k, snapshot_stride - k % snapshot_stride)
+        gains, thresholds = lock.block_schedule(k, length)
+        rows = []
+        for a, b in zip(gains, thresholds):
+            k += 1
+            x = sample_step(theta, x, rng)
+            half = [t + a * h for t, h in zip(theta, h_noisy(theta, x))]
+            move = _dist(half, theta)
+            # a finite move means a finite half-step
+            if not move < math.inf and not all(map(math.isfinite, half)):
+                raise NonFiniteIterateError(k, half)
+            # accept the half-step iff it moved at most b_k and stayed in K_sigma
+            if move <= b and _dist(half, center) <= radius:
+                theta = half
+            else:
+                theta, x = center, reinit
+                lock.reset(np.ones(1, dtype=bool), k)
+                radius = float(lock.radius[0])
+            rows.append(theta)
+            if counts is not None:
+                counts[labels[x]] += 1
+        visits = None if counts is None else np.array([counts], dtype=np.int64)
+        lock.fold(np.array(rows, dtype=float)[:, None], k, visits)
+    return lock.traces(np.array([theta], dtype=float), [x], visits)[0]

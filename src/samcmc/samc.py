@@ -1,4 +1,4 @@
-"""Stochastic approximation Monte Carlo: model tables, estimates and engine.
+"""Stochastic approximation Monte Carlo: model tables, estimates and engines.
 
 The sampler targets a reweighted density proportional to psi(x) *
 exp(-theta^(j(x))) on each of m labeled subregions and adapts theta so
@@ -7,19 +7,22 @@ first m-1 components of theta are free; the last is pinned at zero, so
 trial densities are invariant to the additive drift the update would
 otherwise accumulate.
 
-Runs use a vectorized multi-chain engine over a finite state space; it
-is bit-for-bit reproducible chain by chain.
+A solo run is run_sa on the chain's tables; batches run on a vectorized
+multi-chain engine. Both are bit-for-bit reproducible chain by chain, and
+a solo run equals the matching batch member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass, field, replace
+from math import exp, ulp
 from typing import Sequence
 
 import numpy as np
 
 from .oracle import FiniteChainSpec
-from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
+from .sa import GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder, run_sa
 
 # iterations per pre-drawn randomness block in the vectorized engine; bounds
 # transient memory without changing any draw (the chunking is part of the
@@ -109,15 +112,72 @@ def visit_freq(trace: RunTrace) -> np.ndarray:
     return trace.visit_counts / trace.k
 
 
+def _initial_state(model: SamcModel, ladder: TruncationLadder) -> int:
+    """The state every run starts and restarts at, checked against the model."""
+    if ladder.center.shape != (model.m - 1,):
+        raise ValueError(f"ladder center must have shape ({model.m - 1},)")
+    if ladder.reinit_state is None:
+        raise ValueError("ladder.reinit_state must hold the initial state index")
+    x0, n = int(ladder.reinit_state), model.chain.n_states
+    if not 0 <= x0 < n:
+        raise ValueError(f"initial state {x0} outside 0..{n - 1}")
+    return x0
+
+
+def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
+    """One chain of run_samc_batch as a run_sa problem, with the same draws.
+
+    Acceptance takes libm's exp, or the batch engine's numpy exp where the
+    two (at most an ulp apart) could fall on either side of u. Each new rng
+    starts the draws afresh.
+    """
+    cdf, n, d = model.cdf, model.chain.n_states, model.m - 1
+    # bisect only the entries where a row rises: the first above u < 1 is one
+    xs, ys = np.nonzero(np.diff(cdf, axis=1, prepend=-1.0) > 0)
+    bounds = np.searchsorted(xs, np.arange(n + 1)).tolist()
+    targets, levels = ys.tolist(), cdf[xs, ys].tolist()
+    ratios = model.ratio_table[xs, ys].tolist()
+    labels, rows = model.chain.labels0.tolist(), model.steps[:, :d].tolist()
+    draws, owner = None, None
+
+    def blocks(rng):
+        # per block of CHUNK steps: the proposal uniforms, then the acceptance ones
+        for k in range(0, k_max, CHUNK):
+            u_prop = rng.random(min(CHUNK, k_max - k))
+            yield from zip(u_prop.tolist(), rng.random(u_prop.size).tolist())
+
+    def sample_step(theta, x, rng):
+        nonlocal draws, owner
+        if rng is not owner:
+            draws, owner = blocks(rng), rng
+        u_prop, u_acc = next(draws)
+        i = bisect_right(levels, u_prop, bounds[x], bounds[x + 1])
+        y = targets[i]
+        jx, jy = labels[x], labels[y]
+        # theta_x - theta_y, with the pinned component 0
+        log_r = ratios[i] + ((theta[jx] if jx < d else 0.0)
+                             - (theta[jy] if jy < d else 0.0))
+        if log_r >= 0.0:
+            return y
+        e = exp(log_r)
+        if abs(u_acc - e) <= 2.0 * ulp(e):
+            e = np.exp(np.array([log_r]))[0]
+        return y if u_acc < e else x
+
+    return SaProblem(sample_step=sample_step,
+                     h_noisy=lambda theta, x: rows[labels[x]], labels=labels)
+
+
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
              k_max: int, seed: int, *, snapshot_stride: int = 1000) -> RunTrace:
     """Run one adaptive chain for k_max steps; stores the full theta path.
 
-    This is the vectorized engine with a single chain, so a solo run is
-    bit-identical to the corresponding member of a batch.
+    This is run_sa on samc_problem, so a solo run is bit-identical to the
+    corresponding member of a batch, at a fraction of its cost per step.
     """
-    return run_samc_batch(model, schedule, ladder, k_max, [seed],
-                          snapshot_stride=snapshot_stride, store_thetas=True)[0]
+    ladder = replace(ladder, reinit_state=_initial_state(model, ladder))
+    return run_sa(samc_problem(model, k_max), schedule, ladder, k_max, seed,
+                  snapshot_stride=snapshot_stride)
 
 
 def _step_bounds(gains: np.ndarray, row_norm: float, m: int,
@@ -177,14 +237,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     row_norm = model.row_norm
 
     center = ladder.center
-    if center.shape != (m - 1,):
-        raise ValueError(f"ladder center must have shape ({m - 1},)")
-    x0 = ladder.reinit_state
-    if x0 is None:
-        raise ValueError("ladder.reinit_state must hold the initial state index")
-    x0 = int(x0)
-    if not 0 <= x0 < n:
-        raise ValueError(f"initial state {x0} outside 0..{n - 1}")
+    x0 = _initial_state(model, ladder)
     label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
     reinit_ext = np.append(center, 0.0)
@@ -235,7 +288,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
         for b, rng in enumerate(lock.rngs):
             u_prop[:length, b] = rng.random(length)
             u_acc[:length, b] = rng.random(length)
-        gains, thresholds = lock.block_schedule(k, length)
+        gains, thresholds = map(np.array, lock.block_schedule(k, length))
         # the move test runs only on chunks where some step can exceed b_k
         theta_max = max(float(np.abs(ext_rows[0]).max(initial=0.0)), reinit_max)
         move_test = not np.all(

@@ -216,8 +216,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             u[:, :, b] = rng.random((length, sweeps))
         reflect = not _walls_out_of_reach(box, xs, x0, z)
         gains, thresholds = lock.block_schedule(k, length)
-        gains = gains.tolist()      # a Python float multiplies faster per step
-        limits[:length, 0] = thresholds[:, None]
+        limits[:length, 0] = np.array(thresholds)[:, None]
         limits[:length, 1] = lock.radius
         folded = 0      # path rows 1..folded of this chunk are summed
 

@@ -1,5 +1,6 @@
 """Gain schedules, validator clauses, truncation, driver, and averaging."""
 
+import functools
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from samcmc import (
     trajectory_average,
     validate_schedule,
 )
+from samcmc.sa import _dist
 from test_samle import trace_digest
 
 # trace_digest of run_sa on the noisy-mean problem below, once on the
@@ -121,19 +123,44 @@ def test_validator_tau_interval_absent_outside_range():
 
 def test_ladder_geometry():
     ladder = TruncationLadder(center=np.zeros(2), r0=0.5, growth=10.0)
+    center = ladder.center.tolist()
     assert ladder.radius_at(0) == 0.5
     assert ladder.radius_at(2) == 50.0
-    assert ladder.contains(np.array([0.3, 0.4]), s=0)
-    assert not ladder.contains(np.array([0.3, 0.5]), s=0)
-    assert ladder.contains(np.array([3.0, 4.0]), s=1)
+    assert _dist([0.3, 0.4], center) <= ladder.radius_at(0)
+    assert not _dist([0.3, 0.5], center) <= ladder.radius_at(0)
+    assert _dist([3.0, 4.0], center) <= ladder.radius_at(1)
 
 
 def test_ladder_radius_saturates_past_float_range():
     # many threshold-driven truncations can push sigma past the largest
-    # representable power; the ball must become everything, not an error
+    # representable power; the ball must become everything, not an error,
+    # and the norm saturates to inf alike, on both of its paths
     ladder = TruncationLadder(center=np.zeros(2), r0=0.5, growth=10.0)
-    assert ladder.radius_at(400) == np.inf
-    assert ladder.contains(np.array([1e300, 1e300]), s=400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ladder.radius_at(400) == np.inf
+        for d in (2, 9):
+            far = _dist([1e300] * d, [0.0] * d)
+            assert far == np.inf and far <= ladder.radius_at(400)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 7, 8, 9, 12, 16, 130])
+def test_norm_matches_the_engines_rule(d):
+    # the lockstep engines measure a (B, d) block of differences with
+    # sqrt(np.add.reduce(w * w, axis=1)); _dist must give each row's bits.
+    # Numbers spread over 16 orders of magnitude make the order of the sum
+    # show: numpy sums 8 entries or more pairwise
+    rng = np.random.default_rng(d)
+    u, v = (rng.standard_normal((400, d)) * 10.0 ** rng.integers(-8, 8, (400, d))
+            for _ in range(2))
+    w = u - v
+    expected = np.sqrt(np.add.reduce(w * w, axis=1))
+    got = [_dist(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert np.array(got).tobytes() == expected.tobytes()
+    if d >= 8:
+        left_to_right = [math.sqrt(functools.reduce(lambda t, x: t + x * x, row, 0.0))
+                         for row in w.tolist()]
+        assert left_to_right != got, "the case must tell the two orders apart"
 
 
 @pytest.mark.parametrize("growth", [10.0, 1.5, 1.6])
@@ -170,7 +197,7 @@ def test_run_sa_contraction():
     # H(theta, x) = -theta with no noise: |theta_k| is nonincreasing and
     # converges to the root at 0
     problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: -th)
+                        h_noisy=lambda th, x: [-th[0]])
     ladder = TruncationLadder(center=np.array([1.0]), r0=10.0,
                               reinit_state=None)
     trace = run_sa(problem, GainSchedule(), ladder, 2000, seed=0)
@@ -182,7 +209,7 @@ def test_run_sa_contraction():
 
 def test_run_sa_zero_field_is_fixed_point():
     problem = SaProblem(sample_step=lambda th, x, rng: rng.random(),
-                        h_noisy=lambda th, x: np.zeros(1))
+                        h_noisy=lambda th, x: [0.0])
     ladder = TruncationLadder(center=np.array([0.7]), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 500, seed=1)
     assert np.all(trace.thetas == 0.7)
@@ -191,7 +218,7 @@ def test_run_sa_zero_field_is_fixed_point():
 
 def test_run_sa_deterministic_reruns():
     problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: np.atleast_1d(x - th))
+                        h_noisy=lambda th, x: [x - th[0]])
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     a = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
     b = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
@@ -203,7 +230,7 @@ def test_run_sa_deterministic_reruns():
 
 def test_run_sa_aborts_on_nonfinite_update():
     def h(th, x):
-        return np.array([np.inf]) if x >= 3 else np.array([0.1])
+        return [math.inf] if x >= 3 else [0.1]
 
     problem = SaProblem(sample_step=lambda th, x, rng: x + 1, h_noisy=h)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0)
@@ -214,7 +241,7 @@ def test_run_sa_aborts_on_nonfinite_update():
 def test_run_sa_truncation_resets_to_initial_pair():
     # a huge update direction trips the threshold immediately
     problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: np.array([100.0]))
+                        h_noisy=lambda th, x: [100.0])
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5, reinit_state="x0")
     trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
     assert trace.sigma_events == [1, 2, 3, 4, 5]
@@ -233,7 +260,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
     # a tiny ball, a move of 0.6 leaves a ball of radius 0.5, and one of 3
     # stays in a ball of radius 100 but is too fast
     problem = SaProblem(sample_step=lambda th, x, rng: x + 1,
-                        h_noisy=lambda th, x: np.array([h]))
+                        h_noisy=lambda th, x: [h])
     start = 0.2 * r0
     ladder = TruncationLadder(center=[start], r0=r0, reinit_state=0)
     trace = run_sa(problem, GainSchedule(), ladder, 1, seed=0)
@@ -247,7 +274,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
 
 def test_run_sa_golden_digests():
     problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: np.atleast_1d(x - th))
+                        h_noisy=lambda th, x: [x - th[0]])
     plain = run_sa(problem, GainSchedule(),
                    TruncationLadder(center=np.zeros(1), reinit_state=0.0),
                    3000, seed=42, snapshot_stride=500)
@@ -263,7 +290,7 @@ def test_run_sa_golden_digests():
 
 def run_sa_with(stride):
     problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: -th)
+                        h_noisy=lambda th, x: [-th[0]])
     run_sa(problem, GainSchedule(),
            TruncationLadder(center=np.zeros(1), reinit_state=0.0),
            10, seed=0, snapshot_stride=stride)
@@ -330,7 +357,7 @@ def test_trajectory_average_light_trace():
 
 def test_running_sum_matches_average():
     problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: np.atleast_1d(x) - th)
+                        h_noisy=lambda th, x: [x - th[0]])
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 20000, seed=9)
     lhs = trajectory_average(trace, 0) * trace.k
@@ -394,7 +421,7 @@ def test_kahan_add_rows_matches_one_add_per_row():
 
 def test_snapshot_sums_match_prefix_means():
     problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: np.atleast_1d(x) - th)
+                        h_noisy=lambda th, x: [x - th[0]])
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 5000, seed=3,
                    snapshot_stride=1000)

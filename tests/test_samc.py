@@ -11,14 +11,12 @@ from samcmc import (
     FiniteChainSpec,
     GainSchedule,
     RunTrace,
-    SaProblem,
     SamcModel,
     TruncationLadder,
     chain10,
     exact_omega,
     gain_at,
     omega_hat,
-    run_sa,
     run_samc,
     run_samc_batch,
     stationary_dist,
@@ -303,55 +301,110 @@ def random_chain(seed=2024, n=60, m=8):
                            proposal=proposal, pi=pi)
 
 
-def samc_problem(model, k_max):
-    """The engine's chain as a run_sa problem, drawing in the engine's order.
-
-    Per block of samc.CHUNK steps the chain draws its proposal uniforms and
-    then its acceptance uniforms. The proposal is the count of cdf entries
-    <= u, and the log ratio is the table's plus theta_x - theta_y.
-    """
-    cdf, ratio, labels = model.cdf, model.ratio_table, model.chain.labels0
-    free = model.steps[:, : model.m - 1]
-
-    def blocks(rng):
-        for k in range(0, k_max, samc.CHUNK):
-            u_prop = rng.random(min(samc.CHUNK, k_max - k))
-            yield from zip(u_prop, rng.random(u_prop.size))
-
-    stream = None
-
-    def sample_step(theta, x, rng):
-        nonlocal stream
-        stream = stream or blocks(rng)
-        u_prop, u_acc = next(stream)
-        y = int((cdf[x] <= u_prop).sum())
-        ext = np.append(theta, 0.0)
-        log_r = ratio[x, y] + (ext[labels[x]] - ext[labels[y]])
-        return y if u_acc < np.exp(np.minimum(0.0, log_r)) else x
-
-    return SaProblem(sample_step=sample_step,
-                     h_noisy=lambda theta, x: free[labels[x]])
-
-
 @pytest.mark.parametrize("make_chain, r0, growth, x0, k_max, seeds", [
     (chain10, 0.4, 10.0, 0, 20_000, [11]),
     (random_chain, 2.0, 1.1, 5, 12_000, [21, 22, 23]),
 ], ids=["chain10", "random-chain"])
 def test_engine_replays_run_sa(make_chain, r0, growth, x0, k_max, seeds):
-    """The lockstep engine equals the scalar recursion byte for byte."""
+    """The lockstep engine equals the scalar recursion byte for byte.
+
+    run_samc is run_sa on samc.samc_problem, so this ties the batch engine
+    to the production solo path.
+    """
     chain = make_chain()
     model = SamcModel.from_chain(chain)
     ladder = TruncationLadder(center=np.zeros(chain.m - 1), r0=r0,
                               growth=growth, reinit_state=x0)
     for seed in seeds:
-        trace = run_samc(model, GainSchedule(), ladder, k_max, seed)
-        ref = run_sa(samc_problem(model, k_max), GainSchedule(), ladder,
-                     k_max, seed)
+        trace = run_samc_batch(model, GainSchedule(), ladder, k_max, [seed],
+                               store_thetas=True)[0]
+        ref = run_samc(model, GainSchedule(), ladder, k_max, seed)
         assert trace.sigma_events, "r0 must be tight enough to truncate"
         np.testing.assert_array_equal(trace.thetas, ref.thetas)
         assert trace.sigma_events == ref.sigma_events
         assert trace.final_state == ref.final_state
         assert trace_digest(trace) == trace_digest(ref)
+
+
+def assert_same_trace(solo, member, where):
+    """Every RunTrace field equal byte for byte; a failure names where."""
+    differ = np.flatnonzero(np.any(solo.thetas != member.thetas, axis=1))
+    where += (f", first differing iteration {differ[0] + 1}" if differ.size
+              else ", iterates equal")
+
+    def same(a, b):
+        return (a is None) == (b is None) and (
+            a is None or (a.dtype == b.dtype and a.shape == b.shape
+                          and a.tobytes() == b.tobytes()))
+
+    for name in ("thetas", "running_sum", "visit_counts", "final_theta"):
+        assert same(getattr(solo, name), getattr(member, name)), f"{name}: {where}"
+    for name in ("sigma_events", "k", "seed", "final_sigma", "final_state"):
+        a, b = getattr(solo, name), getattr(member, name)
+        assert a == b and type(a) is type(b), f"{name}: {where}"
+    assert len(solo.snapshots) == len(member.snapshots), where
+    for a, b in zip(solo.snapshots, member.snapshots):
+        assert a.k == b.k and a.sigma == b.sigma, f"snapshot at {a.k}: {where}"
+        for name in ("theta", "pi_hat", "theta_sum"):
+            assert same(getattr(a, name), getattr(b, name)), \
+                f"snapshot {name} at {a.k}: {where}"
+
+
+@pytest.mark.parametrize("chain_seed, n, m", [
+    (1, 30, 1), (2, 40, 2), (3, 60, 8), (4, 300, 9), (5, 50, 12),
+], ids=["N30-m1", "N40-m2", "N60-m8", "N300-m9", "N50-m12"])
+def test_solo_run_matches_batch_member_on_random_chains(chain_seed, n, m):
+    # run_samc (scalar) against member 0 of run_samc_batch([seed, seed + 1])
+    # (vectorized) on seeded chains: m - 1 >= 8 free components take
+    # numpy's pairwise norm; a tight, slowly growing ladder truncates, except
+    # at m = 1, where theta has no component to move; k = 9000 crosses
+    # samc.CHUNK, and the stride 700 does not divide it
+    chain = random_chain(chain_seed, n, m)
+    model = SamcModel.from_chain(chain)
+    ladder = TruncationLadder(center=np.zeros(m - 1), r0=0.5, growth=1.1,
+                              reinit_state=n // 2)
+    k_max, seed = 9000, 40 + chain_seed
+    assert k_max > samc.CHUNK and k_max % 700
+    solo = run_samc(model, GainSchedule(), ladder, k_max, seed, snapshot_stride=700)
+    member = run_samc_batch(model, GainSchedule(), ladder, k_max, [seed, seed + 1],
+                            snapshot_stride=700, store_thetas=True)[0]
+    assert bool(solo.sigma_events) == (m > 1), "the ladder must truncate"
+    assert_same_trace(solo, member, f"seed {seed}, N={n}, m={m}")
+
+
+class Draws:
+    """Stands in for a Generator: hands out the given blocks of uniforms."""
+
+    def __init__(self, *blocks):
+        self.blocks = list(blocks)
+
+    def random(self, size):
+        block = self.blocks.pop(0)
+        assert len(block) == size
+        return np.array(block)
+
+
+def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
+    # libm's exp and numpy's differ in the last bit on a few % of inputs.
+    # With u set to the smaller of the two values, the two decide the
+    # acceptance test differently; the solo path must decide as the batch
+    # engine, whose exp is numpy's on an array. The chain has two states,
+    # one per subregion, a flat density and a proposal that always moves,
+    # so the log ratio of the move from 0 to 1 is theta_1
+    model = SamcModel.from_chain(FiniteChainSpec(
+        n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
+        proposal=np.array([[0.0, 1.0], [1.0, 0.0]]), pi=np.full(2, 0.5)))
+    log_r = -np.random.default_rng(3).exponential(2.0, 20_000)
+    engine_exp = np.exp(log_r)
+    libm_exp = np.array([math.exp(v) for v in log_r.tolist()])
+    ties = np.flatnonzero(engine_exp != libm_exp)
+    assert ties.size > 100
+    for i in ties.tolist():
+        u = min(engine_exp[i], libm_exp[i])
+        step = samc.samc_problem(model, 1).sample_step
+        moved = step([float(log_r[i])], 0, Draws([0.5], [u])) == 1
+        assert moved == (u < engine_exp[i]), f"log ratio {log_r[i]!r}, u {u!r}"
+        assert moved != (u < libm_exp[i])
 
 
 def test_batch_engine_golden_digests(model):

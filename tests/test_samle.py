@@ -329,7 +329,7 @@ def samle_problem(model, proposal, sweeps, k_max):
         nonlocal stream
         stream = stream or blocks(rng, x.size)
         z, u = next(stream)
-        th = theta[None]
+        th = np.array([theta])
         for s in range(sweeps):
             y = reflect_into_box(x + z[s], box)
             log_r = predictive(y[None], th)[0] - predictive(x[None], th)[0]
@@ -339,7 +339,8 @@ def samle_problem(model, proposal, sweeps, k_max):
 
     return SaProblem(
         sample_step=sample_step,
-        h_noisy=lambda theta, x: model.grad_complete_loglik(x[None], theta[None])[0])
+        h_noisy=lambda theta, x: model.grad_complete_loglik(
+            x[None], np.array([theta]))[0].tolist())
 
 
 @pytest.mark.parametrize("make_model, seeds", [
