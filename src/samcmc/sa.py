@@ -17,6 +17,7 @@ convergence theory needs, clause by clause.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -407,6 +408,19 @@ def _dist(u: Sequence[float], v: Sequence[float]) -> float:
         return math.sqrt(np.add.reduce(w * w))
 
 
+def mh_accept(log_r: float, u: float) -> bool:
+    """Whether u in [0, 1) is below exp(min(log_r, 0)), as the engines decide.
+
+    numpy's exp decides where libm's, at most an ulp off, lies near u.
+    """
+    if log_r >= 0.0:
+        return True
+    e = math.exp(log_r)
+    if abs(u - e) <= 2.0 * math.ulp(e):
+        e = np.exp(np.array([log_r]))[0]
+    return u < e
+
+
 # most iterations kept as Python lists before they are stored and folded
 BLOCK = 4096
 
@@ -453,4 +467,5 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
                 counts[labels[x]] += 1
         visits = None if counts is None else np.array([counts], dtype=np.int64)
         lock.fold(np.array(rows, dtype=float)[:, None], k, visits)
-    return lock.traces(np.array([theta], dtype=float), [x], visits)[0]
+    # a copy, so the trace never aliases ladder.reinit_state
+    return lock.traces(np.array([theta], dtype=float), [copy.copy(x)], visits)[0]

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from math import exp, ulp
 from typing import Sequence
 
 import numpy as np
 
 from .oracle import FiniteChainSpec
-from .sa import GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder, run_sa
+from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
+                 mh_accept, run_sa)
 
 # iterations per pre-drawn randomness block in the vectorized engine; bounds
 # transient memory without changing any draw (the chunking is part of the
@@ -127,9 +127,8 @@ def _initial_state(model: SamcModel, ladder: TruncationLadder) -> int:
 def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
     """One chain of run_samc_batch as a run_sa problem, with the same draws.
 
-    Acceptance takes libm's exp, or the batch engine's numpy exp where the
-    two (at most an ulp apart) could fall on either side of u. Each new rng
-    starts the draws afresh.
+    Acceptance is mh_accept, which decides as the batch engine's numpy exp.
+    Each new rng starts the draws afresh.
     """
     cdf, n, d = model.cdf, model.chain.n_states, model.m - 1
     # bisect only the entries where a row rises: the first above u < 1 is one
@@ -157,12 +156,7 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
         # theta_x - theta_y, with the pinned component 0
         log_r = ratios[i] + ((theta[jx] if jx < d else 0.0)
                              - (theta[jy] if jy < d else 0.0))
-        if log_r >= 0.0:
-            return y
-        e = exp(log_r)
-        if abs(u_acc - e) <= 2.0 * ulp(e):
-            e = np.exp(np.array([log_r]))[0]
-        return y if u_acc < e else x
+        return y if mh_accept(log_r, u_acc) else x
 
     return SaProblem(sample_step=sample_step,
                      h_noisy=lambda theta, x: rows[labels[x]], labels=labels)

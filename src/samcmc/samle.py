@@ -5,6 +5,10 @@ targeting its predictive density given the current parameter, then moves
 the parameter along the complete-data log likelihood gradient evaluated
 at the imputed x, with the usual decaying gain and truncation safeguard.
 
+A solo run is run_sa on samle_problem; batches run on a vectorized
+multi-chain engine. Both are bit-for-bit reproducible chain by chain, and
+a solo run equals the matching batch member.
+
 A small Gaussian location fixture ships with the package: observations
 y_i = theta + z_i + w_i with independent standard normal z, w, for which
 the exact MLE is the sample mean of y and the latent posterior is
@@ -13,13 +17,15 @@ x_i | y_i, theta ~ N((theta + y_i)/2, 1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .sa import GainSchedule, Lockstep, RunTrace, TruncationLadder
+from .sa import (GainSchedule, Lockstep, NonFiniteIterateError, RunTrace,
+                 SaProblem, TruncationLadder, mh_accept, run_sa)
 
 CHUNK = 2048
 
@@ -79,10 +85,10 @@ class MissingDataModel:
     grad_complete_loglik(x, theta) is the complete-data score at theta;
     predictive_log_density(x, theta) is log f(x | observed data, theta) up
     to an additive constant. Both take x of shape (rows, dim x) and theta
-    of shape (rows, dim theta) and return (rows, dim theta) gradients and
-    (rows,) log densities, row by row: a row's value may not depend on the
-    other rows or on how many there are, since the lockstep engine stacks
-    rows of several chains or points into one call.
+    of shape (rows, dim theta) and return float arrays of (rows, dim theta)
+    gradients and (rows,) log densities, row by row: a row's value may not
+    depend on the other rows or on how many there are, since the engines
+    stack rows of several chains or points into one call.
     """
 
     grad_complete_loglik: Callable
@@ -104,6 +110,66 @@ class NonFiniteGradientError(RuntimeError):
             f"theta={np.asarray(theta)}, x={np.asarray(x)}")
 
 
+def _reset_point(ladder: TruncationLadder) -> np.ndarray:
+    if ladder.reinit_state is None:
+        raise ValueError("ladder.reinit_state must hold the initial latent data")
+    return np.asarray(ladder.reinit_state, dtype=float)
+
+
+def samle_problem(model: MissingDataModel, k_max: int, *,
+                  proposal: RandomWalk | None = None,
+                  sweeps: int = 1) -> SaProblem:
+    """One chain of run_samle_batch as a run_sa problem, with the same draws.
+
+    Each new rng restarts the draws and takes the point it starts from as
+    the reset point. An iteration makes sweeps + 1 model calls, the first
+    sweep scoring both points in one; sample points are never modified.
+    """
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+    proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
+    box, step = proposal.bounds or model.x_space, proposal.step
+    predictive, score = model.predictive_log_density, model.grad_complete_loglik
+    owner = x0 = offsets = uniforms = reflect = th = th1 = pair = None
+    k = 0
+
+    def sample_step(theta, x, rng):
+        nonlocal owner, x0, offsets, uniforms, reflect, th, th1, pair, k
+        if rng is not owner:
+            owner, x0, k = rng, x, 0
+            th = np.empty((2, len(theta)))      # theta for each of two rows
+            th1, pair = th[:1], np.empty((2, x.size))
+        if k % CHUNK == 0:
+            z = rng.standard_normal((min(CHUNK, k_max - k), sweeps, x.size))
+            z *= step
+            uniforms = iter(rng.random(z.shape[:2]).tolist())
+            offsets = iter(z.reshape(-1, x.size))
+            reflect = not _walls_out_of_reach(box, x[None], x0, z)
+        k += 1
+        th[:] = theta
+        for s, u in enumerate(next(uniforms)):
+            y = x + next(offsets)
+            if reflect:
+                y = reflect_into_box(y, box)
+            if s == 0:
+                pair[0], pair[1] = x, y
+                lp_x, lp_y = predictive(pair, th).tolist()
+            else:
+                lp_y = predictive(y[None], th1).tolist()[0]
+            if mh_accept(lp_y - lp_x, u):
+                x, lp_x = y, lp_y
+        return x
+
+    def h_noisy(theta, x):
+        # run_sa calls this right after sample_step, which put theta in th
+        grad = score(x[None], th1).tolist()[0]
+        if not all(map(isfinite, grad)):
+            raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
+        return grad
+
+    return SaProblem(sample_step=sample_step, h_noisy=h_noisy)
+
+
 def run_samle(model: MissingDataModel, schedule: GainSchedule,
               ladder: TruncationLadder, k_max: int, seed: int, *,
               proposal: RandomWalk | None = None, sweeps: int = 1,
@@ -111,12 +177,14 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
     """Run one chain for k_max iterations and keep the full parameter path.
 
     sweeps > 1 applies that many MH refreshes to the latent data before
-    each gradient step. This is the lockstep engine with a single chain,
-    so a solo run is bit-identical to the matching batch member.
+    each gradient step. This is run_sa on samle_problem, so a solo run is
+    bit-identical to the matching batch member, at a fraction of its cost
+    per iteration.
     """
-    return run_samle_batch(model, schedule, ladder, k_max, [seed],
-                           proposal=proposal, sweeps=sweeps,
-                           snapshot_stride=snapshot_stride, store_thetas=True)[0]
+    problem = samle_problem(model, k_max, proposal=proposal, sweeps=sweeps)
+    ladder = replace(ladder, reinit_state=_reset_point(ladder))
+    return run_sa(problem, schedule, ladder, k_max, seed,
+                  snapshot_stride=snapshot_stride)
 
 
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
@@ -138,6 +206,7 @@ def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
                 and np.all(hi + slack <= box.upper))
 
 
+@np.errstate(over="ignore")
 def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     ladder: TruncationLadder, k_max: int,
                     seeds: Sequence[int], *, proposal: RandomWalk | None = None,
@@ -153,22 +222,20 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     Per iteration the first sweep scores the current latents and their
     proposals in one stacked model call. The iterates of a block are kept
     and folded into the compensated running sum at every snapshot and when
-    the block ends.
+    the block ends. Overflow warnings are off: a nonfinite gradient or
+    half-step raises an error naming the iteration, as in run_sa.
     """
     lock = Lockstep(schedule, ladder, k_max, seeds, ladder.center.size,
                     snapshot_stride, store_thetas)
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    x0 = _reset_point(ladder)
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
     box = proposal.bounds or model.x_space
     predictive = model.predictive_log_density
     score = model.grad_complete_loglik
 
     center = ladder.center
-    x0 = ladder.reinit_state
-    if x0 is None:
-        raise ValueError("ladder.reinit_state must hold the initial latent data")
-    x0 = np.asarray(x0, dtype=float)
     d = center.size
     dx = x0.size
 
@@ -242,10 +309,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     np.copyto(lp_x, lp_y, where=accept)
 
             grad = np.asarray(score(xs, th), dtype=float)
-            if np.count_nonzero(np.isfinite(grad)) < grad.size:
-                b = int(np.argwhere(~np.isfinite(grad).all(axis=1))[0, 0])
-                raise NonFiniteGradientError(k, th[b].copy(), xs[b].copy(),
-                                             grad[b])
             np.multiply(grad, gains[i], out=th_half)
             np.add(th, th_half, out=th_half)
             np.subtract(th_half, th_from, out=sq)
@@ -254,6 +317,13 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             np.sqrt(norms, out=norms)
             np.less_equal(norms, limits[i], out=within)
             if np.count_nonzero(within) < within.size:
+                # a nonfinite gradient or half-step fails the move test
+                bad = ~np.isfinite(th_half).all(axis=1)
+                if bad.any():
+                    b = int(bad.argmax())
+                    if np.isfinite(grad[b]).all():
+                        raise NonFiniteIterateError(k, th_half[b].copy())
+                    raise NonFiniteGradientError(k, th[b].copy(), xs[b].copy(), grad[b])
                 reset = ~(within[0] & within[1])
                 np.copyto(th_half, center, where=reset[:, None])
                 np.copyto(xs, x0, where=reset[:, None])
@@ -281,20 +351,19 @@ def gaussian_location_model(y: np.ndarray) -> MissingDataModel:
 
     The complete-data score is sum(x_i - theta) and the latent posterior
     is N((theta + y_i)/2, 1/2) componentwise; the MLE from y alone is its
-    sample mean. Callables broadcast over a leading batch axis.
+    sample mean. Callables take arrays and broadcast over a leading batch
+    axis.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
+    n, half_y = y.size, 0.5 * y
 
     def grad(x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         return np.add.reduce(x - theta, axis=-1, keepdims=True)
 
     def predictive(x, theta):
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        r = x - 0.5 * (theta + y)
+        # 0.5 * theta + half_y is 0.5 * (theta + y) bit for bit, away from
+        # overflow and the subnormal range
+        r = x - (0.5 * theta + half_y)
         # posterior variance is 1/2, so the quadratic coefficient is 1
         return -np.add.reduce(r * r, axis=-1)
 

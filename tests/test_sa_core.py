@@ -27,7 +27,7 @@ from samcmc import (
     trajectory_average,
     validate_schedule,
 )
-from samcmc.sa import _dist
+from samcmc.sa import _dist, mh_accept
 from test_samle import trace_digest
 
 # trace_digest of run_sa on the noisy-mean problem below, once on the
@@ -248,6 +248,42 @@ def test_run_sa_truncation_resets_to_initial_pair():
     assert trace.final_sigma == 5
     assert np.all(trace.thetas == 0.0)
     assert trace.final_state == "x0"
+
+
+def test_run_sa_final_state_does_not_alias_the_reset_point():
+    # a truncation on the last iteration leaves x at the reset point; the
+    # trace must hold a copy, or mutating it would change the ladder
+    problem = SaProblem(sample_step=lambda th, x, rng: x + 1.0,
+                        h_noisy=lambda th, x: [100.0])
+    ladder = TruncationLadder(center=np.zeros(1), r0=0.5,
+                              reinit_state=np.zeros(2))
+    trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
+    assert trace.sigma_events == [1, 2, 3, 4, 5]
+    trace.final_state[:] = 42.0
+    np.testing.assert_array_equal(ladder.reinit_state, np.zeros(2))
+
+
+def test_mh_accept_decides_as_numpy_exp_on_an_array():
+    # the lockstep engines accept iff u < exp(min(log_r, 0)) with numpy's
+    # exp on an array; mh_accept must agree for every pair below, near
+    # ties included: u at, just below and just above either exp
+    rng = np.random.default_rng(11)
+    near = -rng.exponential(2.0, 4000)
+    ties = near[np.exp(near) != np.array([math.exp(v) for v in near.tolist()])]
+    assert ties.size > 20
+    specials = np.array([0.0, 0.5, 3.0, np.inf, np.nan, -np.inf, -745.2, -800.0])
+    log_r = np.concatenate((specials, ties))
+    us = [0.0, 0.25, 0.999]
+    pairs = [(lr, u) for lr in log_r.tolist() for u in us]
+    for lr in ties.tolist():
+        for e in (math.exp(lr), float(np.exp(np.array([lr]))[0])):
+            pairs += [(lr, e), (lr, math.nextafter(e, 0.0)),
+                      (lr, math.nextafter(e, 1.0))]
+    lrs, u = np.array(pairs).T
+    with np.errstate(invalid="ignore"):
+        engine = u < np.exp(np.minimum(lrs, 0.0))
+    decided = [mh_accept(a, b) for a, b in pairs]
+    assert decided == engine.tolist()
 
 
 @pytest.mark.parametrize("h, r0, events", [

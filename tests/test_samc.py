@@ -26,7 +26,7 @@ from samcmc import (
     visit_freq,
 )
 from samcmc import samc
-from test_samle import trace_digest
+from test_samle import assert_same_trace, trace_digest
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
 
@@ -324,30 +324,6 @@ def test_engine_replays_run_sa(make_chain, r0, growth, x0, k_max, seeds):
         assert trace.sigma_events == ref.sigma_events
         assert trace.final_state == ref.final_state
         assert trace_digest(trace) == trace_digest(ref)
-
-
-def assert_same_trace(solo, member, where):
-    """Every RunTrace field equal byte for byte; a failure names where."""
-    differ = np.flatnonzero(np.any(solo.thetas != member.thetas, axis=1))
-    where += (f", first differing iteration {differ[0] + 1}" if differ.size
-              else ", iterates equal")
-
-    def same(a, b):
-        return (a is None) == (b is None) and (
-            a is None or (a.dtype == b.dtype and a.shape == b.shape
-                          and a.tobytes() == b.tobytes()))
-
-    for name in ("thetas", "running_sum", "visit_counts", "final_theta"):
-        assert same(getattr(solo, name), getattr(member, name)), f"{name}: {where}"
-    for name in ("sigma_events", "k", "seed", "final_sigma", "final_state"):
-        a, b = getattr(solo, name), getattr(member, name)
-        assert a == b and type(a) is type(b), f"{name}: {where}"
-    assert len(solo.snapshots) == len(member.snapshots), where
-    for a, b in zip(solo.snapshots, member.snapshots):
-        assert a.k == b.k and a.sigma == b.sigma, f"snapshot at {a.k}: {where}"
-        for name in ("theta", "pi_hat", "theta_sum"):
-            assert same(getattr(a, name), getattr(b, name)), \
-                f"snapshot {name} at {a.k}: {where}"
 
 
 @pytest.mark.parametrize("chain_seed, n, m", [

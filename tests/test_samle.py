@@ -1,6 +1,7 @@
 """Missing-data maximum likelihood driver and the Gaussian location toy."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,11 @@ from samcmc import (
     GainSchedule,
     MissingDataModel,
     NonFiniteGradientError,
+    NonFiniteIterateError,
     RandomWalk,
-    SaProblem,
     TruncationLadder,
     gaussian_location_model,
     load_gaussian_toy,
-    reflect_into_box,
     run_sa,
     run_samle,
     run_samle_batch,
@@ -66,6 +66,31 @@ def trace_digest(trace):
     for snap in trace.snapshots:
         h.update(np.ascontiguousarray(snap.theta_sum, dtype="<f8").tobytes())
     return h.hexdigest()
+
+
+def assert_same_trace(solo, member, where):
+    """Every RunTrace field equal byte for byte; a failure names where."""
+    differ = np.flatnonzero(np.any(solo.thetas != member.thetas, axis=1))
+    where += (f", first differing iteration {differ[0] + 1}" if differ.size
+              else ", iterates equal")
+
+    def same(a, b):
+        return (a is None) == (b is None) and (
+            a is None or (a.dtype == b.dtype and a.shape == b.shape
+                          and a.tobytes() == b.tobytes()))
+
+    for name in ("thetas", "running_sum", "visit_counts", "final_theta"):
+        assert same(getattr(solo, name), getattr(member, name)), f"{name}: {where}"
+    for name in ("sigma_events", "k", "seed", "final_sigma", "final_state"):
+        a, b = getattr(solo, name), getattr(member, name)
+        equal = same(a, b) if isinstance(a, np.ndarray) else a == b
+        assert equal and type(a) is type(b), f"{name}: {where}"
+    assert len(solo.snapshots) == len(member.snapshots), where
+    for a, b in zip(solo.snapshots, member.snapshots):
+        assert a.k == b.k and a.sigma == b.sigma, f"snapshot at {a.k}: {where}"
+        for name in ("theta", "pi_hat", "theta_sum"):
+            assert same(getattr(a, name), getattr(b, name)), \
+                f"snapshot {name} at {a.k}: {where}"
 
 
 def narrow_box_model(y):
@@ -159,6 +184,9 @@ def test_truncation_resets_both_coordinates():
     assert np.all(trace.thetas == 0.0)
     assert trace.final_sigma == 5
     np.testing.assert_array_equal(trace.final_state, np.zeros(1))
+    # the trace holds a copy of the reset point, not the ladder's array
+    trace.final_state[0] = 42.0
+    np.testing.assert_array_equal(ladder.reinit_state, np.zeros(1))
 
 
 def test_engine_survives_unbounded_sigma(toy_y):
@@ -228,10 +256,7 @@ def test_batch_member_matches_solo_run(toy_y):
     for seed, member in zip([3, 4], batch):
         solo = run_samle(model, schedule, ladder(), 5000, seed=seed,
                          sweeps=2, proposal=RandomWalk(step=0.4))
-        np.testing.assert_array_equal(solo.thetas, member.thetas)
-        np.testing.assert_array_equal(solo.running_sum, member.running_sum)
-        np.testing.assert_array_equal(solo.final_state, member.final_state)
-        assert solo.sigma_events == member.sigma_events
+        assert_same_trace(solo, member, f"seed {seed}")
     assert not np.array_equal(batch[0].thetas, batch[1].thetas)
 
 
@@ -306,61 +331,132 @@ def test_batch_engine_reflects_at_narrow_box_walls(toy_y):
         assert not np.array_equal(t.final_state, w.final_state)
 
 
-def samle_problem(model, proposal, sweeps, k_max):
-    """The engine's chain as a run_sa problem, drawing in the engine's order.
-
-    Per block of samle.CHUNK iterations the chain draws its (length,
-    sweeps, dx) normals, scaled by the step, and then its (length, sweeps)
-    uniforms. Each proposal is reflected into the box, and the model's
-    callables are called on single rows.
-    """
-    box = proposal.bounds or model.x_space
-    predictive = model.predictive_log_density
-
-    def blocks(rng, dx):
-        for k in range(0, k_max, samle.CHUNK):
-            length = min(samle.CHUNK, k_max - k)
-            z = rng.standard_normal((length, sweeps, dx)) * proposal.step
-            yield from zip(z, rng.random((length, sweeps)))
-
-    stream = None
-
-    def sample_step(theta, x, rng):
-        nonlocal stream
-        stream = stream or blocks(rng, x.size)
-        z, u = next(stream)
-        th = np.array([theta])
-        for s in range(sweeps):
-            y = reflect_into_box(x + z[s], box)
-            log_r = predictive(y[None], th)[0] - predictive(x[None], th)[0]
-            if u[s] < np.exp(np.minimum(log_r, 0.0)):
-                x = y
-        return x
-
-    return SaProblem(
-        sample_step=sample_step,
-        h_noisy=lambda theta, x: model.grad_complete_loglik(
-            x[None], np.array([theta]))[0].tolist())
-
-
 @pytest.mark.parametrize("make_model, seeds", [
     (gaussian_location_model, [0, 5, 7]),
     (narrow_box_model, [7]),
 ], ids=["toy", "narrow-box"])
 def test_engine_replays_run_sa(toy_y, make_model, seeds):
-    """The lockstep engine equals the scalar recursion byte for byte."""
+    """The lockstep engine equals the scalar recursion byte for byte.
+
+    run_samle is run_sa on samle.samle_problem, so this ties the batch
+    engine to the production solo path.
+    """
     model = make_model(toy_y)
     proposal, sweeps, k_max = RandomWalk(step=0.4), 3, 5000
     schedule = GainSchedule(c1=0.1)
     ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
                               reinit_state=toy_y.copy())
     for seed in seeds:
-        trace = run_samle(model, schedule, ladder, k_max, seed,
-                          proposal=proposal, sweeps=sweeps)
-        ref = run_sa(samle_problem(model, proposal, sweeps, k_max), schedule,
-                     ladder, k_max, seed)
+        trace = run_samle_batch(model, schedule, ladder, k_max, [seed],
+                                proposal=proposal, sweeps=sweeps,
+                                store_thetas=True)[0]
+        ref = run_samle(model, schedule, ladder, k_max, seed,
+                        proposal=proposal, sweeps=sweeps)
         assert trace.sigma_events, "r0 must be tight enough to truncate"
-        np.testing.assert_array_equal(trace.thetas, ref.thetas)
-        assert trace.sigma_events == ref.sigma_events
-        np.testing.assert_array_equal(trace.final_state, ref.final_state)
+        assert_same_trace(ref, trace, f"seed {seed}")
         assert trace_digest(trace) == trace_digest(ref)
+
+
+def walk_model(_y):
+    """d = 3 on five flat latents: theta chases the walk's first three."""
+    return flat_model(5, lambda x, theta: x[:3] - theta)
+
+
+SHAPES = {"toy": gaussian_location_model, "narrow-box": narrow_box_model,
+          "flat-d3": walk_model}
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps):
+    # run_samle against member 0 of run_samle_batch([seed, seed + 1]) on a
+    # tight, slowly growing ladder; k = 5000 crosses samle.CHUNK, and the
+    # stride 777 does not divide it
+    model = SHAPES[shape](toy_y)
+    x0 = toy_y[:5].copy() if shape == "flat-d3" else toy_y.copy()
+    d = 3 if shape == "flat-d3" else 1
+    ladder = TruncationLadder(center=np.zeros(d), r0=0.6, growth=1.1,
+                              reinit_state=x0)
+    k_max, seed = 5000, 10 * sweeps + len(shape)
+    assert k_max > samle.CHUNK and k_max % 777
+    args = (model, GainSchedule(c1=0.1), ladder, k_max)
+    kwargs = dict(proposal=RandomWalk(step=0.4, bounds=model.x_space),
+                  sweeps=sweeps, snapshot_stride=777)
+    solo = run_samle(*args, seed, **kwargs)
+    member = run_samle_batch(*args, [seed, seed + 1], store_thetas=True,
+                             **kwargs)[0]
+    assert solo.sigma_events, "the ladder must truncate"
+    assert_same_trace(solo, member, f"{shape}, sweeps {sweeps}, seed {seed}")
+
+
+def test_one_problem_serves_many_runs(toy_y):
+    # a new rng restarts the problem's draws and its reset point, so one
+    # problem replays each batch member in turn, and the first again
+    model, proposal, k_max = narrow_box_model(toy_y), RandomWalk(step=0.4), 5000
+    schedule = GainSchedule(c1=0.1)
+    ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                              reinit_state=toy_y.copy())
+    problem = samle.samle_problem(model, k_max, proposal=proposal, sweeps=2)
+    batch = run_samle_batch(model, schedule, ladder, k_max, [3, 4],
+                            proposal=proposal, sweeps=2, store_thetas=True)
+    for member in batch + batch[:1]:
+        solo = run_sa(problem, schedule, ladder, k_max, member.seed)
+        assert_same_trace(solo, member, f"seed {member.seed}")
+
+
+def counting(model, calls):
+    """model with each callable call appended to calls."""
+    def count(name, fn):
+        def wrapped(x, theta):
+            calls.append((name, len(x)))
+            return fn(x, theta)
+        return wrapped
+
+    return MissingDataModel(
+        grad_complete_loglik=count("grad", model.grad_complete_loglik),
+        predictive_log_density=count("density", model.predictive_log_density),
+        x_space=model.x_space)
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_solo_run_makes_sweeps_plus_one_model_calls(toy_y, sweeps):
+    calls = []
+    model = counting(gaussian_location_model(toy_y), calls)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    run_samle(model, GainSchedule(c1=0.1), ladder, 300, seed=1,
+              proposal=RandomWalk(step=0.4), sweeps=sweeps)
+    # the first sweep scores the current point and its proposal in one call
+    per_iteration = ([("density", 2)] + [("density", 1)] * (sweeps - 1)
+                     + [("grad", 1)])
+    assert calls == per_iteration * 300
+
+
+def first_step_then(value):
+    """One flat latent; gradient 1 while theta < 1, then value."""
+    return flat_model(1, lambda x, theta: np.array(
+        [1.0 if theta[0] < 1.0 else value]))
+
+
+def solo_path(model, schedule, ladder, k_max):
+    run_samle(model, schedule, ladder, k_max, seed=0)
+
+
+def batch_path(model, schedule, ladder, k_max):
+    run_samle_batch(model, schedule, ladder, k_max, seeds=[0, 1])
+
+
+@pytest.mark.parametrize("path", [solo_path, batch_path], ids=["solo", "batch"])
+@pytest.mark.parametrize("value, error", [
+    (np.inf, NonFiniteGradientError), (np.nan, NonFiniteGradientError),
+    (1e308, NonFiniteIterateError),
+], ids=["inf-gradient", "nan-gradient", "overflowing-step"])
+def test_nonfinite_values_abort_both_paths_alike(path, value, error):
+    # a_1 = 4 takes theta from 0 to 4, inside both safeguards; at
+    # iteration 2 the gradient is nonfinite, or a_2 * 1e308 overflows
+    schedule = GainSchedule(c1=4.0, c2=10.0)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=np.zeros(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="at iteration 2:") as info:
+            path(first_step_then(value), schedule, ladder, 10)
+    assert info.value.iteration == 2
