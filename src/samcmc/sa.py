@@ -205,10 +205,7 @@ class KahanSum:
         self._comp = np.zeros(shape)
 
     def add(self, v: np.ndarray) -> None:
-        t = self.total + v
-        big = np.abs(self.total) >= np.abs(v)
-        self._comp += np.where(big, (self.total - t) + v, (v - t) + self.total)
-        self.total = t
+        self.add_rows(np.asarray(v)[None])
 
     def add_rows(self, rows: np.ndarray) -> np.ndarray:
         """Add rows[0], rows[1], ... in turn; returns the value after each.
@@ -298,10 +295,10 @@ class Lockstep:
     """Bookkeeping of B chains that an engine runs in lockstep.
 
     Chain b draws only from rngs[b] = default_rng(seeds[b]). The engine
-    moves every chain and reports truncations (reset) and blocks of
-    iterates (fold); this class keeps each chain's truncation count, ball
-    radius and truncation iterations, the compensated running sums, the
-    stored iterates if asked for, and the snapshots.
+    moves every chain, tests its half-steps (outside) and reports
+    truncations (reset) and blocks of iterates (fold); this class keeps
+    each chain's truncation count, ball radius and truncation iterations,
+    the compensated sums, the stored iterates if asked for, and the snapshots.
     """
 
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
@@ -311,6 +308,8 @@ class Lockstep:
             raise ValueError("k_max must be >= 1")
         if snapshot_stride < 1:
             raise ValueError("snapshot_stride must be >= 1")
+        if len(seeds) < 1:
+            raise ValueError("seeds must hold at least one seed")
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
         self.ladder = ladder
         self.stride = snapshot_stride
@@ -322,12 +321,35 @@ class Lockstep:
         self.ksum = KahanSum((B, d))
         self.thetas = np.empty((B, k_max, d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
+        self._sq = np.empty((2, B, d))
+        self._norms = np.empty((2, B))
+        self._within = np.empty((2, B), dtype=bool)
 
     def block_schedule(self, k: int, length: int) -> tuple[list[float], list[float]]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
         js = range(k + 1, k + length + 1)
         return ([gain_at(self.schedule, j) for j in js],
                 [threshold_at(self.schedule, j) for j in js])
+
+    def outside(self, half: np.ndarray, ref: np.ndarray,
+                limits: np.ndarray) -> np.ndarray | None:
+        """Truncation test of every chain's (B, d) half-step.
+
+        ref (2, B, d) holds each chain's previous iterate and the ball
+        center, limits (2, B) b_k and each chain's radius. Returns None when
+        every chain passes both, else the mask of chains to reset; a NaN or
+        inf half-step fails, as b_k is finite. _dist mirrors these norms in
+        run_sa bit for bit.
+        """
+        sq, norms, within = self._sq, self._norms, self._within
+        np.subtract(half, ref, out=sq)
+        np.multiply(sq, sq, out=sq)
+        np.add.reduce(sq, axis=2, out=norms)
+        np.sqrt(norms, out=norms)
+        np.less_equal(norms, limits, out=within)
+        if np.count_nonzero(within) == within.size:
+            return None
+        return ~(within[0] & within[1])
 
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""

@@ -174,36 +174,28 @@ def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
                   snapshot_stride=snapshot_stride)
 
 
-def _step_bounds(gains: np.ndarray, row_norm: float, m: int,
-                 theta_max: float) -> np.ndarray:
-    """Bounds on the realized norm of each step of a block of iterations.
+def _block_may_truncate(theta: np.ndarray, center: np.ndarray,
+                        radius: np.ndarray, gains: np.ndarray,
+                        thresholds: np.ndarray, row_norm: float, m: int) -> bool:
+    """False when no chain can fail the truncation test within a fold block.
 
-    Step k moves theta by a_k times one label's update row, so its norm is
-    at most a_k * row_norm, widened for the rounding of the half step, of
-    the difference and of the norm. That rounding scales with |theta|,
-    whose entries stay below theta_max (the largest starting or reset
-    entry) plus the block's summed gains, as update entries are below 1;
-    the sum is doubled for slack. NaN or inf in, NaN or inf out.
+    theta holds each chain's iterate at the block's start. Step j moves
+    theta by a_j times one label's update row, so its norm is at most
+    a_j * row_norm, widened for the rounding of the half step, of the
+    difference and of the norm. That rounding scales with |theta|, whose
+    entries stay below their largest value at the start plus the summed
+    gains, as update entries are below 1; the sum is doubled for slack.
+    While no chain truncates, radii stay put and each chain stays within
+    the summed step bounds of its start, so by induction none truncates.
+    NaN or inf anywhere makes the test run.
     """
-    theta_norm = 2.0 * np.sqrt(m - 1) * (theta_max + gains.sum())
-    return (gains * row_norm + 2.0 ** -52 * theta_norm) * (1.0 + (m + 32) * 2.0 ** -50)
-
-
-def _ball_may_fail(theta: np.ndarray, center: np.ndarray, radius: np.ndarray,
-                   gains: np.ndarray, row_norm: float, m: int) -> bool:
-    """False when no chain can leave its active ball within a fold block.
-
-    theta holds each chain's iterate at the block's start. With no
-    truncation in the block, radii stay put and each chain ends every step
-    within the sum of the step bounds of where it started. NaN anywhere
-    makes the test run.
-    """
+    pad = 1.0 + (m + 32) * 2.0 ** -50
+    theta_norm = 2.0 * np.sqrt(m - 1) * (np.abs(theta).max(initial=0.0) + gains.sum())
+    bounds = (gains * row_norm + 2.0 ** -52 * theta_norm) * pad
     dev = theta - center
     dev = np.sqrt(np.add.reduce(dev * dev, axis=1))
-    reach = _step_bounds(gains, row_norm, m,
-                         float(np.abs(theta).max(initial=0.0))).sum()
-    bound = (dev + reach) * (1.0 + (m + 32) * 2.0 ** -50)
-    return not bool(np.all(bound < radius))
+    return not (np.all(bounds < thresholds)
+                and np.all((dev + bounds.sum()) * pad < radius))
 
 
 def run_samc_batch(model: SamcModel, schedule: GainSchedule,
@@ -220,22 +212,20 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     a step uses or the order in which a chain makes them.
 
     Iterates are folded into the compensated running sum in short blocks
-    that end at every snapshot. The move test is skipped for a block of
-    draws, and the ball test for a fold block, only when a bound padded
-    for rounding shows that every chain passes it.
+    that end at every snapshot. The truncation test is skipped for a fold
+    block only when a bound padded for rounding shows that every chain
+    passes both its move and its ball test there.
     """
     m, n = model.m, model.chain.n_states
     lock = Lockstep(schedule, ladder, k_max, seeds, m - 1, snapshot_stride,
                     store_thetas)
     cdf, ratio_table, steps_ext = model.cdf, model.ratio_table, model.steps
-    row_norm = model.row_norm
 
     center = ladder.center
     x0 = _initial_state(model, ladder)
     label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
     reinit_ext = np.append(center, 0.0)
-    reinit_max = float(np.abs(center).max(initial=0.0))
 
     B = len(seeds)
     rows = np.arange(B)
@@ -264,10 +254,12 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     above = np.empty((B, n), dtype=bool)
     accept = np.empty(B, dtype=bool)
     step = np.empty((B, m))
-    sq = np.empty((B, m - 1))
-    norm = np.empty(B)
-    ok = np.empty(B, dtype=bool)
-    inside = np.empty(B, dtype=bool)
+    # the truncation test's ref row 0 is the iterate before the step: the
+    # realized difference, not a*update, matches run_sa bit for bit; limits
+    # holds b_k and each chain's radius per step of a tested fold block
+    ref = np.empty((2, B, m - 1))
+    ref[1] = center
+    limits = np.empty((fold, 2, B))
     counts = np.zeros((B, m), dtype=np.int64)
 
     # one block of draws laid out step-major, one column per chain, so each
@@ -283,17 +275,18 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             u_prop[:length, b] = rng.random(length)
             u_acc[:length, b] = rng.random(length)
         gains, thresholds = map(np.array, lock.block_schedule(k, length))
-        # the move test runs only on chunks where some step can exceed b_k
-        theta_max = max(float(np.abs(ext_rows[0]).max(initial=0.0)), reinit_max)
-        move_test = not np.all(
-            _step_bounds(gains, row_norm, m, theta_max) < thresholds)
         c = 0
         while c < length:
             # a fold block ends at the chunk's end and at every snapshot
             steps = min(fold, length - c, lock.stride - k % lock.stride)
-            # the bound costs about as much as two steps' ball tests
-            ball_test = move_test or steps < 3 or _ball_may_fail(
-                free_rows[0], center, lock.radius, gains[c:c + steps], row_norm, m)
+            # the bound costs as much as one to three steps' tests (B = 400
+            # to 20 on chain10), so blocks this short skip it and run the test
+            test = steps < 3 or _block_may_truncate(
+                free_rows[0], center, lock.radius, gains[c:c + steps],
+                thresholds[c:c + steps], model.row_norm, m)
+            if test:
+                limits[:steps, 0] = thresholds[c:c + steps, None]
+                limits[:steps, 1] = lock.radius
             for i in range(steps):
                 k += 1
                 # proposal draw by inverse cdf on the current state's row:
@@ -317,31 +310,15 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 steps_ext.take(j_cur, axis=0, out=step, mode="clip")
                 np.multiply(step, gains[c], out=step)
                 np.add(ext_rows[i], step, out=ext_rows[i + 1])
-                th_half = free_rows[i + 1]
-                # norm of the realized difference, not of a*update: matches
-                # run_sa's truncation test bit for bit
-                if move_test:
-                    np.subtract(th_half, free_rows[i], out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    np.add.reduce(sq, axis=1, out=norm)
-                    np.sqrt(norm, out=norm)
-                    np.less_equal(norm, thresholds[c], out=ok)
-                if ball_test:
-                    np.subtract(th_half, center, out=sq)
-                    np.multiply(sq, sq, out=sq)
-                    np.add.reduce(sq, axis=1, out=norm)
-                    np.sqrt(norm, out=norm)
-                    if move_test:
-                        np.less_equal(norm, lock.radius, out=inside)
-                        np.logical_and(ok, inside, out=ok)
-                    else:
-                        np.less_equal(norm, lock.radius, out=ok)
-                if ball_test and not np.logical_and.reduce(ok):
-                    reset = ~ok
-                    np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
-                    np.copyto(xs, x0, where=reset)
-                    np.copyto(j_cur, j0, where=reset)
-                    lock.reset(reset, k)
+                if test:
+                    np.copyto(ref[0], free_rows[i])
+                    reset = lock.outside(free_rows[i + 1], ref, limits[i])
+                    if reset is not None:
+                        np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
+                        np.copyto(xs, x0, where=reset)
+                        np.copyto(j_cur, j0, where=reset)
+                        lock.reset(reset, k)
+                        limits[i + 1:steps, 1] = lock.radius
                 np.copyto(visited[i], j_cur)
                 c += 1
 

@@ -245,7 +245,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     pair = np.tile(x0, (2 * B, 1))
     xs, ys = pair[:B], pair[B:]
     # two copies of theta (one per half of pair) and then the ball center;
-    # rows 1: are what the truncation test measures the half-step from
+    # rows 1: are the truncation test's ref
     th_ref = np.empty((3, B, d))
     th_ref[2] = center
     th_pair, th_rows = th_ref[:2], th_ref[:2].reshape(2 * B, d)
@@ -260,12 +260,8 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     # starting theta; the truncation test writes its half-step in place
     path = np.empty((CHUNK + 1, B, d))
     path[0] = center
-    # row 0 tests the move |theta_half - theta| against b_k, row 1 the
-    # distance |theta_half - center| against the active ball's radius
-    sq = np.empty((2, B, d))
-    norms = np.empty((2, B))
+    # per iteration: b_k and each chain's radius, the truncation test's limits
     limits = np.empty((CHUNK, 2, B))
-    within = np.empty((2, B), dtype=bool)
 
     # one block of draws laid out step-major, so each step reads
     # contiguous (B, dx) offsets and (B,) uniforms
@@ -311,12 +307,8 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             grad = np.asarray(score(xs, th), dtype=float)
             np.multiply(grad, gains[i], out=th_half)
             np.add(th, th_half, out=th_half)
-            np.subtract(th_half, th_from, out=sq)
-            np.multiply(sq, sq, out=sq)
-            np.add.reduce(sq, axis=2, out=norms)
-            np.sqrt(norms, out=norms)
-            np.less_equal(norms, limits[i], out=within)
-            if np.count_nonzero(within) < within.size:
+            reset = lock.outside(th_half, th_from, limits[i])
+            if reset is not None:
                 # a nonfinite gradient or half-step fails the move test
                 bad = ~np.isfinite(th_half).all(axis=1)
                 if bad.any():
@@ -324,7 +316,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     if np.isfinite(grad[b]).all():
                         raise NonFiniteIterateError(k, th_half[b].copy())
                     raise NonFiniteGradientError(k, th[b].copy(), xs[b].copy(), grad[b])
-                reset = ~(within[0] & within[1])
                 np.copyto(th_half, center, where=reset[:, None])
                 np.copyto(xs, x0, where=reset[:, None])
                 lock.reset(reset, k)

@@ -27,7 +27,7 @@ from samcmc import (
     trajectory_average,
     validate_schedule,
 )
-from samcmc.sa import _dist, mh_accept
+from samcmc.sa import Lockstep, _dist, mh_accept
 from test_samle import trace_digest
 
 # trace_digest of run_sa on the noisy-mean problem below, once on the
@@ -144,23 +144,46 @@ def test_ladder_radius_saturates_past_float_range():
             assert far == np.inf and far <= ladder.radius_at(400)
 
 
+def truncation_test(d, half, ref, limits):
+    lock = Lockstep(GainSchedule(), TruncationLadder(center=np.zeros(d)), 1,
+                    range(len(half)), d, 1, False)
+    return lock.outside(half, ref, limits)
+
+
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 7, 8, 9, 12, 16, 130])
 def test_norm_matches_the_engines_rule(d):
-    # the lockstep engines measure a (B, d) block of differences with
-    # sqrt(np.add.reduce(w * w, axis=1)); _dist must give each row's bits.
-    # Numbers spread over 16 orders of magnitude make the order of the sum
-    # show: numpy sums 8 entries or more pairwise
+    # _dist must give the bits of both norms of the lockstep engines'
+    # truncation test: a chain passes at a limit equal to _dist and fails
+    # one ulp below it. Numbers spread over 16 orders of magnitude make the
+    # order of the sum show: numpy sums 8 entries or more pairwise
     rng = np.random.default_rng(d)
     u, v = (rng.standard_normal((400, d)) * 10.0 ** rng.integers(-8, 8, (400, d))
             for _ in range(2))
-    w = u - v
-    expected = np.sqrt(np.add.reduce(w * w, axis=1))
-    got = [_dist(a, b) for a, b in zip(u.tolist(), v.tolist())]
-    assert np.array(got).tobytes() == expected.tobytes()
+    got = np.array([_dist(a, b) for a, b in zip(u.tolist(), v.tolist())])
+    below = np.nextafter(got, -np.inf)
+    ref = np.stack([v, v])
+    assert truncation_test(d, u, ref, np.stack([got, got])) is None
+    for limits in ([below, got], [got, below]):
+        assert truncation_test(d, u, ref, np.array(limits)).all()
     if d >= 8:
+        w = (u - v).tolist()
         left_to_right = [math.sqrt(functools.reduce(lambda t, x: t + x * x, row, 0.0))
-                         for row in w.tolist()]
-        assert left_to_right != got, "the case must tell the two orders apart"
+                         for row in w]
+        assert left_to_right != got.tolist(), "the case must tell the two orders apart"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncation_tests_reject_a_nonfinite_half_step(bad):
+    # as b_k is finite, the move test fails such a half-step even in a ball
+    # that has grown to all of R^d
+    half = np.zeros((4, 3))
+    half[1, 0] = half[3, 2] = bad
+    limits = np.array([[1.0] * 4, [np.inf] * 4])
+    reset = truncation_test(3, half, np.zeros((2, 4, 3)), limits)
+    assert reset.tolist() == [False, True, False, True]
+    for row in half.tolist():
+        passes = _dist(row, [0.0] * 3) <= 1.0
+        assert passes == all(map(math.isfinite, row))
 
 
 @pytest.mark.parametrize("growth", [10.0, 1.5, 1.6])
@@ -332,17 +355,17 @@ def run_sa_with(stride):
            10, seed=0, snapshot_stride=stride)
 
 
-def run_samc_batch_with(stride):
+def run_samc_batch_with(stride, seeds=(0, 1)):
     run_samc_batch(SamcModel.from_chain(chain10()), GainSchedule(),
                    TruncationLadder(center=np.zeros(2), reinit_state=0),
-                   10, [0, 1], snapshot_stride=stride)
+                   10, list(seeds), snapshot_stride=stride)
 
 
-def run_samle_batch_with(stride):
+def run_samle_batch_with(stride, seeds=(0, 1)):
     y = load_gaussian_toy()
     run_samle_batch(gaussian_location_model(y), GainSchedule(),
                     TruncationLadder(center=np.zeros(1), reinit_state=y),
-                    10, [0, 1], snapshot_stride=stride)
+                    10, list(seeds), snapshot_stride=stride)
 
 
 @pytest.mark.parametrize("engine", [run_sa_with, run_samc_batch_with,
@@ -352,6 +375,12 @@ def test_engines_reject_snapshot_stride_below_one(engine, stride):
     engine(1)
     with pytest.raises(ValueError, match="snapshot_stride must be >= 1"):
         engine(stride)
+
+
+@pytest.mark.parametrize("engine", [run_samc_batch_with, run_samle_batch_with])
+def test_lockstep_engines_reject_an_empty_seed_list(engine):
+    with pytest.raises(ValueError, match="seeds must hold at least one seed"):
+        engine(1, seeds=[])
 
 
 def make_trace(thetas, snapshot_at=()):
@@ -431,28 +460,29 @@ def test_kahan_sum_survives_cancellation():
 
 
 def test_kahan_add_rows_matches_one_add_per_row():
-    # block adds must reproduce the per-row recursion bit for bit, from a
-    # nonzero state, through exact cancellations and mixed magnitudes
+    # block adds must reproduce Neumaier's per-row recursion bit for bit,
+    # from a nonzero state, through exact cancellations and mixed magnitudes
     rng = np.random.default_rng(5)
     values = rng.standard_normal((600, 3, 2)) * 10.0 ** rng.integers(
         -12, 12, (600, 3, 2))
     values[100:400:3] = 1e8
     values[102:400:3] = -1e8
-    ref = KahanSum((3, 2))
+    total, comp, expected = np.zeros((3, 2)), np.zeros((3, 2)), []
+    for row in np.concatenate((values, values[:1])):
+        t = total + row
+        big = np.abs(total) >= np.abs(row)
+        comp = comp + np.where(big, (total - t) + row, (row - t) + total)
+        total = t
+        expected.append(total + comp)
     blk = KahanSum((3, 2))
     for row in values[:7]:
-        ref.add(row)
         blk.add(row)
-    expected = []
-    for row in values[7:]:
-        ref.add(row)
-        expected.append(ref.value.copy())
+    assert blk.value.tobytes() == expected[6].tobytes()
     got = np.concatenate([blk.add_rows(values[7:300]),
                           blk.add_rows(values[300:])])
-    assert got.tobytes() == np.array(expected).tobytes()
-    ref.add(values[0])
+    assert got.tobytes() == np.array(expected[7:600]).tobytes()
     blk.add(values[0])
-    assert blk.value.tobytes() == ref.value.tobytes()
+    assert blk.value.tobytes() == expected[600].tobytes()
 
 
 def test_snapshot_sums_match_prefix_means():

@@ -482,17 +482,25 @@ def test_move_threshold_binds_now_and_then(chain):
     assert digests(traces) == GOLDEN_MOVE_BINDS
 
 
-def test_move_test_runs_only_where_the_threshold_can_bind():
-    # the engine runs the move test on the first two blocks of draws of
-    # the run above and skips it on the third, so the digests pin both
-    rows = np.eye(3)[:, :2] - MOVE_BINDS_PI[:2]
-    row_norm = np.sqrt((rows * rows).sum(axis=1)).max()
+def test_truncation_test_runs_only_where_a_chain_may_fail(chain):
+    # on the run above, a 64-step fold block runs the test where the move
+    # threshold may bind and skips it past k = 16,384, so the digests pin both
+    model = SamcModel.from_chain(replace(chain, pi=MOVE_BINDS_PI))
 
-    def may_bind(first, last):
-        ks = range(first, last + 1)
-        bounds = samc._step_bounds(
-            np.array([gain_at(MOVE_BINDS_SCHEDULE, k) for k in ks]), row_norm, 3, 1.0)
-        return not np.all(bounds < [threshold_at(MOVE_BINDS_SCHEDULE, k) for k in ks])
+    def may_fail(first, theta=np.ones((2, 2)), radius=1e6):
+        ks = range(first, first + 64)
+        return samc._block_may_truncate(
+            theta, np.zeros(2), np.full(2, radius),
+            np.array([gain_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
+            np.array([threshold_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
+            model.row_norm, 3)
 
-    assert may_bind(1, 8192) and may_bind(8193, 16_384)
-    assert not may_bind(16_385, 20_000)
+    assert may_fail(1) and may_fail(8193)
+    assert not any(may_fail(k) for k in range(16_385, 20_000, 64))
+    # the ball test binds where a chain starts within reach of the boundary:
+    # at sqrt(2) from the center, 64 steps reach about 0.08 further
+    assert may_fail(16_385, radius=1.45) and not may_fail(16_385, radius=1.6)
+    for bad in (np.nan, np.inf):
+        theta = np.ones((2, 2))
+        theta[1, 0] = bad
+        assert may_fail(16_385, theta)
