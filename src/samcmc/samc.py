@@ -24,10 +24,13 @@ from .oracle import FiniteChainSpec
 from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
                  mh_accept, run_sa)
 
-# iterations per pre-drawn randomness block in the vectorized engine; bounds
-# transient memory without changing any draw (the chunking is part of the
-# draw-order contract, see run_samc_batch)
+# iterations per block of draws: each chain draws a block's proposal
+# uniforms, then its acceptance ones (the draw-order contract, see
+# run_samc_batch)
 CHUNK = 8192
+# steps of draws the vectorized engine holds per chain at a time; bounds
+# its memory without changing any draw
+DRAW_ROWS = 512
 # steps folded into the compensated running sum at a time: at most
 # FOLD_ROWS steps and FOLD_CELLS extended theta entries, so the fold
 # buffers stay small at large batch sizes
@@ -207,9 +210,12 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     Chain b is driven purely by default_rng(seeds[b]): each chain draws,
     per block of CHUNK iterations, first its proposal uniforms and then its
     acceptance uniforms. A batch member therefore reproduces the same
-    chain run solo, bit for bit. The draws are kept step-major, one column
-    per chain; that layout changes where a draw is stored, not which draw
-    a step uses or the order in which a chain makes them.
+    chain run solo, bit for bit. The engine holds DRAW_ROWS steps of draws
+    per chain at a time, step-major, one column per chain: each chain
+    draws those steps' proposal uniforms, jumps its PCG64 ahead to their
+    acceptance uniforms, draws them and jumps back. random spends one
+    64-bit output per double, so the jumps change where and when a draw is
+    made, not which draw a step uses or where a chain's stream ends a block.
 
     Iterates are folded into the compensated running sum in short blocks
     that end at every snapshot. The truncation test is skipped for a fold
@@ -262,23 +268,32 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     limits = np.empty((fold, 2, B))
     counts = np.zeros((B, m), dtype=np.int64)
 
-    # one block of draws laid out step-major, one column per chain, so each
-    # step reads contiguous (B,) uniforms
-    u_prop = np.empty((min(CHUNK, k_max), B))
+    # DRAW_ROWS steps of a block's draws laid out step-major, one column per
+    # chain, so each step reads contiguous (B,) uniforms at row c % DRAW_ROWS
+    u_prop = np.empty((min(DRAW_ROWS, k_max), B))
     u_acc = np.empty_like(u_prop)
     u_prop_col = u_prop[:, :, None]
 
     k = 0
     while k < k_max:
         length = min(CHUNK, k_max - k)
-        for b, rng in enumerate(lock.rngs):
-            u_prop[:length, b] = rng.random(length)
-            u_acc[:length, b] = rng.random(length)
         gains, thresholds = map(np.array, lock.block_schedule(k, length))
         c = 0
         while c < length:
-            # a fold block ends at the chunk's end and at every snapshot
-            steps = min(fold, length - c, lock.stride - k % lock.stride)
+            if c % DRAW_ROWS == 0:
+                # each rng sits at step c's proposal uniform; its acceptance
+                # uniform lies length - rows outputs past the last one drawn
+                rows = min(DRAW_ROWS, length - c)
+                for b, rng in enumerate(lock.rngs):
+                    u_prop[:rows, b] = rng.random(rows)
+                    rng.bit_generator.advance(length - rows)
+                    u_acc[:rows, b] = rng.random(rows)
+                    if c + rows < length:
+                        rng.bit_generator.advance(-length)
+            # a fold block ends at the chunk's end, at every snapshot and
+            # where the held draws run out
+            steps = min(fold, length - c, lock.stride - k % lock.stride,
+                        DRAW_ROWS - c % DRAW_ROWS)
             # the bound costs as much as one to three steps' tests (B = 400
             # to 20 on chain10), so blocks this short skip it and run the test
             test = steps < 3 or _block_may_truncate(
@@ -293,7 +308,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 # the first entry above u is the count of entries <= u, as
                 # the row is nondecreasing and ends at 1 > u
                 cdf.take(xs, axis=0, out=cdf_rows, mode="clip")
-                np.greater(cdf_rows, u_prop_col[c], out=above)
+                np.greater(cdf_rows, u_prop_col[c % DRAW_ROWS], out=above)
                 above.argmax(axis=1, out=ys)
                 log_r = ratio_table[xs, ys]
                 label_idx.take(ys, out=j_prop, mode="clip")
@@ -303,7 +318,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 np.add(log_r, th_x, out=log_r)
                 np.minimum(0.0, log_r, out=log_r)
                 np.exp(log_r, out=log_r)
-                np.less(u_acc[c], log_r, out=accept)
+                np.less(u_acc[c % DRAW_ROWS], log_r, out=accept)
                 np.copyto(xs, ys, where=accept)
                 np.copyto(j_cur, j_prop, where=accept)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -361,26 +362,36 @@ class Draws:
 
 
 def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
-    # libm's exp and numpy's differ in the last bit on a few % of inputs.
-    # With u set to the smaller of the two values, the two decide the
-    # acceptance test differently; the solo path must decide as the batch
-    # engine, whose exp is numpy's on an array. The chain has two states,
-    # one per subregion, a flat density and a proposal that always moves,
-    # so the log ratio of the move from 0 to 1 is theta_1
+    # the solo path must decide the acceptance test as the batch engine,
+    # whose exp is numpy's on an array, for u at that exp and its
+    # neighbours. The chain has two states, one per subregion, a flat
+    # density and a proposal that always moves, so the log ratio of the
+    # move from 0 to 1 is theta_1
     model = SamcModel.from_chain(FiniteChainSpec(
         n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
         proposal=np.array([[0.0, 1.0], [1.0, 0.0]]), pi=np.full(2, 0.5)))
+    step = samc.samc_problem(model, 1).sample_step
     log_r = -np.random.default_rng(3).exponential(2.0, 20_000)
     engine_exp = np.exp(log_r)
     libm_exp = np.array([math.exp(v) for v in log_r.tolist()])
+
+    def moved(i, u):
+        return step([float(log_r[i])], 0, Draws([0.5], [u])) == 1
+
+    for i in range(300):
+        e = float(engine_exp[i])
+        for u in (math.nextafter(e, 0.0), e, math.nextafter(e, 1.0)):
+            assert moved(i, u) == (u < e), f"log ratio {log_r[i]!r}, u {u!r}"
+    # where libm's exp and numpy's differ in the last bit (a few % of
+    # inputs on AVX-512 builds, none where numpy's kernel matches libm),
+    # u at the smaller of the two makes them decide differently
     ties = np.flatnonzero(engine_exp != libm_exp)
-    assert ties.size > 100
+    if ties.size:
+        assert ties.size > 100
     for i in ties.tolist():
         u = min(engine_exp[i], libm_exp[i])
-        step = samc.samc_problem(model, 1).sample_step
-        moved = step([float(log_r[i])], 0, Draws([0.5], [u])) == 1
-        assert moved == (u < engine_exp[i]), f"log ratio {log_r[i]!r}, u {u!r}"
-        assert moved != (u < libm_exp[i])
+        assert moved(i, u) == (u < engine_exp[i]), f"log ratio {log_r[i]!r}, u {u!r}"
+        assert moved(i, u) != (u < libm_exp[i])
 
 
 def test_batch_engine_golden_digests(model):
@@ -425,6 +436,36 @@ def test_random_chain_golden_digests_and_solo_runs():
         solo = run_samc(model, schedule, ladder(), k_max, seed,
                         snapshot_stride=700)
         assert samc_digest(solo) == samc_digest(member)
+
+
+@pytest.mark.parametrize("n", [1, 7, 400, 8192])
+def test_random_spends_one_output_per_double(n):
+    # run_samc_batch jumps each chain's PCG64 from a block's proposal
+    # uniforms to its acceptance ones and back, which holds only while
+    # random(n) spends exactly n 64-bit outputs
+    drawn, jumped = np.random.default_rng(5), np.random.default_rng(5)
+    start = drawn.bit_generator.state
+    drawn.random(n)
+    jumped.bit_generator.advance(n)
+    where = f"n = {n}, numpy {np.__version__}"
+    assert drawn.bit_generator.state == jumped.bit_generator.state, where
+    drawn.bit_generator.advance(-n)
+    assert drawn.bit_generator.state == start, where
+
+
+def test_batch_engine_holds_a_few_hundred_steps_of_draws(model):
+    # a whole block of draws would take 2 * CHUNK * B doubles, 16 MiB here
+    B, k_max = 128, samc.CHUNK + 1
+    whole_block = 2 * samc.CHUNK * B * 8
+    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    tracemalloc.start()
+    try:
+        run_samc_batch(model, GainSchedule(), ladder, k_max, list(range(B)),
+                       snapshot_stride=k_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_block / 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_tables_match_the_oracle_kernel_on_random_chains():
