@@ -17,6 +17,7 @@ x_i | y_i, theta ~ N((theta + y_i)/2, 1/2).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from importlib import resources
 from math import isfinite
@@ -88,7 +89,8 @@ class MissingDataModel:
     of shape (rows, dim theta) and return float arrays of (rows, dim theta)
     gradients and (rows,) log densities, row by row: a row's value may not
     depend on the other rows or on how many there are, since the engines
-    stack rows of several chains or points into one call.
+    stack rows of several chains or points into one call. The engines call
+    them only on the caller's thread.
     """
 
     grad_complete_loglik: Callable
@@ -206,6 +208,45 @@ def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
                 and np.all(hi + slack <= box.upper))
 
 
+# a new thread starts at numpy's default error state, so the helper's
+# draws need the caller's overflow setting of their own
+@np.errstate(over="ignore")
+def _fill_chains(rngs, chains, z, u, step):
+    """Draw chain b's block into z[:, :, b] and u[:, :, b], for b in chains."""
+    for b in chains:
+        np.multiply(rngs[b].standard_normal(z.shape[:2] + z.shape[3:]), step,
+                    out=z[:, :, b, :])
+        u[:, :, b] = rngs[b].random(u.shape[:2])
+
+
+def _fill_block(rngs, z, u, step):
+    """Fill one block's draws, the odd chains on a helper thread.
+
+    numpy's generators release the GIL while they fill, so the two halves
+    overlap. Each generator is used by one thread and writes only its own
+    column, so the draws do not depend on the split. An exception on the
+    helper is raised here after the join.
+    """
+    if len(rngs) == 1:
+        return _fill_chains(rngs, [0], z, u, step)
+    failed = []
+
+    def fill_odd():
+        try:
+            _fill_chains(rngs, range(1, len(rngs), 2), z, u, step)
+        except BaseException as exc:    # re-raised on the caller's thread
+            failed.append(exc)
+
+    helper = threading.Thread(target=fill_odd, name="samle-fill")
+    helper.start()
+    try:
+        _fill_chains(rngs, range(0, len(rngs), 2), z, u, step)
+    finally:
+        helper.join()
+    if failed:
+        raise failed[0]
+
+
 @np.errstate(over="ignore")
 def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     ladder: TruncationLadder, k_max: int,
@@ -217,7 +258,11 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     Chain b consumes only default_rng(seeds[b]). Per block of CHUNK
     iterations each chain draws its proposal normals first (one
     (CHUNK, sweeps, dim) block) and then its acceptance uniforms, making
-    every chain's stream independent of the batch composition.
+    every chain's stream independent of the batch composition. With two
+    or more chains, one helper thread draws the odd chains' blocks while
+    the caller draws the even ones. Each generator is used by one thread
+    only, in the same order, so the bits do not depend on the split; the
+    model's callables run on the caller's thread alone.
 
     Per iteration the first sweep scores the current latents and their
     proposals in one stacked model call. The iterates of a block are kept
@@ -253,7 +298,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     lp = np.empty(2 * B)
     lp_x, lp_y = lp[:B], lp[B:]
     ratio = np.empty(B)
-    zeros = np.zeros(B)
     accept = np.empty(B, dtype=bool)
     accept_col = accept[:, None]
     # row i + 1 holds theta after the block's i-th step, row 0 the block's
@@ -273,10 +317,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     while k < k_max:
         length = min(CHUNK, k_max - k)
         z, u = offsets[:length], uniforms[:length]
-        for b, rng in enumerate(lock.rngs):
-            np.multiply(rng.standard_normal((length, sweeps, dx)),
-                        proposal.step, out=z[:, :, b, :])
-            u[:, :, b] = rng.random((length, sweeps))
+        _fill_block(lock.rngs, z, u, proposal.step)
         reflect = not _walls_out_of_reach(box, xs, x0, z)
         gains, thresholds = lock.block_schedule(k, length)
         limits[:length, 0] = np.array(thresholds)[:, None]
@@ -296,15 +337,15 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                     np.copyto(lp, predictive(pair, th_rows))
                 else:
                     np.copyto(lp_y, predictive(ys, th))
+                # u < 1, so exp(r) decides as exp(min(r, 0)) would
                 np.subtract(lp_y, lp_x, out=ratio)
-                np.minimum(ratio, zeros, out=ratio)
                 np.exp(ratio, out=ratio)
                 np.less(u[i, s], ratio, out=accept)
                 np.copyto(xs, ys, where=accept_col)
                 if s + 1 < sweeps:
                     np.copyto(lp_x, lp_y, where=accept)
 
-            grad = np.asarray(score(xs, th), dtype=float)
+            grad = score(xs, th)
             np.multiply(grad, gains[i], out=th_half)
             np.add(th, th_half, out=th_half)
             reset = lock.outside(th_half, th_from, limits[i])
@@ -355,8 +396,9 @@ def gaussian_location_model(y: np.ndarray) -> MissingDataModel:
         # 0.5 * theta + half_y is 0.5 * (theta + y) bit for bit, away from
         # overflow and the subnormal range
         r = x - (0.5 * theta + half_y)
+        r *= r
         # posterior variance is 1/2, so the quadratic coefficient is 1
-        return -np.add.reduce(r * r, axis=-1)
+        return -np.add.reduce(r, axis=-1)
 
     bound = np.full(n, 1e100)
     return MissingDataModel(

@@ -1,7 +1,14 @@
 """Missing-data maximum likelihood driver and the Gaussian location toy."""
 
+import functools
 import hashlib
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,12 +373,17 @@ SHAPES = {"toy": gaussian_location_model, "narrow-box": narrow_box_model,
           "flat-d3": walk_model}
 
 
-@pytest.mark.parametrize("sweeps", [1, 2, 3])
-@pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps):
-    # run_samle against member 0 of run_samle_batch([seed, seed + 1]) on a
-    # tight, slowly growing ladder; k = 5000 crosses samle.CHUNK, and the
-    # stride 777 does not divide it
+@pytest.mark.parametrize("shape, sweeps, chains", [
+    *(pytest.param(shape, sweeps, 2, id=f"{shape}-{sweeps}")
+      for shape in sorted(SHAPES) for sweeps in (1, 2, 3)),
+    pytest.param("toy", 2, 5, id="toy-2-5-chains"),
+])
+def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps,
+                                                     chains):
+    # run_samle against every member of a batch on a tight, slowly growing
+    # ladder; k = 5000 crosses samle.CHUNK, and the stride 777 does not
+    # divide it. The helper thread draws the odd members: member 1 of 2,
+    # members 1 and 3 of 5.
     model = SHAPES[shape](toy_y)
     x0 = toy_y[:5].copy() if shape == "flat-d3" else toy_y.copy()
     d = 3 if shape == "flat-d3" else 1
@@ -382,11 +394,14 @@ def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps):
     args = (model, GainSchedule(c1=0.1), ladder, k_max)
     kwargs = dict(proposal=RandomWalk(step=0.4, bounds=model.x_space),
                   sweeps=sweeps, snapshot_stride=777)
-    solo = run_samle(*args, seed, **kwargs)
-    member = run_samle_batch(*args, [seed, seed + 1], store_thetas=True,
-                             **kwargs)[0]
-    assert solo.sigma_events, "the ladder must truncate"
-    assert_same_trace(solo, member, f"{shape}, sweeps {sweeps}, seed {seed}")
+    seeds = list(range(seed, seed + chains))
+    batch = run_samle_batch(*args, seeds, store_thetas=True, **kwargs)
+    for member in batch:
+        solo = run_samle(*args, member.seed, **kwargs)
+        assert solo.sigma_events, "the ladder must truncate"
+        assert_same_trace(solo, member,
+                          f"{shape}, sweeps {sweeps}, seed {member.seed} "
+                          f"of {chains} chains")
 
 
 def test_one_problem_serves_many_runs(toy_y):
@@ -460,3 +475,164 @@ def test_nonfinite_values_abort_both_paths_alike(path, value, error):
         with pytest.raises(error, match="at iteration 2:") as info:
             path(first_step_then(value), schedule, ladder, 10)
     assert info.value.iteration == 2
+
+
+class DrawFault(RuntimeError):
+    pass
+
+
+class WatchedGenerator:
+    """rng's draws, recording the thread of each; standard_normal waits
+    delay seconds first and raises DrawFault on draw fail_at (counted
+    from 1)."""
+
+    def __init__(self, rng, threads, delay, fail_at):
+        self.rng, self.threads = rng, threads
+        self.delay, self.fail_at = delay, fail_at
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.get_ident())
+        if len(self.threads) == self.fail_at:
+            raise DrawFault(f"draw {self.fail_at}")
+        time.sleep(self.delay)
+        return self.rng.standard_normal(shape)
+
+    def random(self, shape):
+        self.threads.append(threading.get_ident())
+        return self.rng.random(shape)
+
+
+def watch_draws(monkeypatch, chains, fail_chain=None):
+    """Wrap each chain's generator in a WatchedGenerator; returns the list
+    of draw threads per chain. Odd chains' normals come 50 ms late, so a
+    caller that does not wait for the helper reads unfilled draws; chain
+    fail_chain fails its second block."""
+    threads = [[] for _ in range(chains)]
+
+    class WatchedLockstep(samle.Lockstep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.rngs = [WatchedGenerator(rng, threads[b], 0.05 * (b % 2),
+                                          3 if b == fail_chain else None)
+                         for b, rng in enumerate(self.rngs)]
+
+    monkeypatch.setattr(samle, "Lockstep", WatchedLockstep)
+    return threads
+
+
+def on_fresh_thread(fn):
+    """fn() on a new thread joined with a timeout: {"thread": its ident,
+    and "value" or "error": what fn returned or raised}."""
+    out = {}
+
+    def call():
+        try:
+            out["value"] = fn()
+        except BaseException as exc:
+            out["error"] = exc
+
+    worker = threading.Thread(target=call)
+    worker.start()
+    out["thread"] = worker.ident
+    worker.join(timeout=60)
+    assert not worker.is_alive(), "run_samle_batch still running after 60 s"
+    return out
+
+
+def thread_test_run(model, seeds, k_max=samle.CHUNK + 10, **kwargs):
+    ladder = TruncationLadder(center=np.zeros(1),
+                              reinit_state=np.zeros(model.x_space.lower.size))
+    return run_samle_batch(model, GainSchedule(c1=0.1), ladder, k_max, seeds,
+                           proposal=RandomWalk(step=0.4), sweeps=2, **kwargs)
+
+
+@pytest.mark.parametrize("chains", [1, 5])
+def test_helper_thread_draws_odd_chains_only(toy_y, monkeypatch, chains):
+    # two blocks; the caller draws the even chains and runs every model
+    # call, one helper the odd chains, and no thread outlives the call
+    base = gaussian_location_model(toy_y)
+    reference = thread_test_run(base, list(range(chains)), store_thetas=True)
+    draws = watch_draws(monkeypatch, chains)
+    calls = []
+    model = MissingDataModel(
+        grad_complete_loglik=lambda x, th: calls.append(
+            threading.get_ident()) or base.grad_complete_loglik(x, th),
+        predictive_log_density=lambda x, th: calls.append(
+            threading.get_ident()) or base.predictive_log_density(x, th),
+        x_space=base.x_space)
+    before = threading.active_count()
+    out = on_fresh_thread(lambda: thread_test_run(
+        model, list(range(chains)), store_thetas=True))
+    assert "error" not in out, out
+    assert threading.active_count() == before
+    for a, b in zip(reference, out["value"]):
+        assert_same_trace(a, b, f"seed {a.seed}")
+    assert set(calls) == {out["thread"]}
+    for b, threads in enumerate(draws):
+        assert len(threads) == 4, f"chain {b}: two blocks, two draws each"
+        assert len(set(threads[:2])) == 1 and len(set(threads[2:])) == 1
+        for block in (0, 2):
+            on_caller = threads[block] == out["thread"]
+            assert on_caller == (b % 2 == 0), f"chain {b}, block {block // 2}"
+
+
+def test_helper_thread_fault_is_raised_by_the_caller(toy_y, monkeypatch):
+    # chain 3's standard_normal raises in the second block on the helper;
+    # the caller raises that same exception, with no thread left behind
+    # and nothing reported to threading.excepthook
+    draws = watch_draws(monkeypatch, 5, fail_chain=3)
+    unhandled = []
+    monkeypatch.setattr(threading, "excepthook", unhandled.append)
+    before = threading.active_count()
+    out = on_fresh_thread(lambda: thread_test_run(
+        gaussian_location_model(toy_y), list(range(5))))
+    assert isinstance(out.get("error"), DrawFault), out
+    assert str(out["error"]) == "draw 3"
+    assert draws[3][2] != out["thread"], "chain 3 must be drawn by the helper"
+    assert threading.active_count() == before
+    assert unhandled == []
+
+
+def test_import_starts_no_thread():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import threading, samcmc, samcmc.cli; "
+            "print(threading.active_count())")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["1"]
+
+
+def test_batch_bits_hold_under_frequent_thread_switches(toy_y):
+    # B = 7 splits the draws 4 to 3; a 1 us switch interval interleaves
+    # the two fills as finely as the interpreter allows
+    model = narrow_box_model(toy_y)
+    run = functools.partial(thread_test_run, model, list(range(20, 27)),
+                            k_max=samle.CHUNK + 100, store_thetas=True)
+    reference = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = run()
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(reference, stressed):
+        assert_same_trace(a, b, f"seed {a.seed}")
+
+
+def test_overflowing_acceptance_ratio_decides_silently():
+    # log densities 1000 x on [-1, 1]: an uphill move of more than 0.71
+    # makes exp(lp_y - lp_x) overflow to inf, which accepts as exp(0)
+    # did; under the error filter any warning fails the test
+    bound = np.ones(1)
+    model = MissingDataModel(
+        grad_complete_loglik=lambda x, theta: x - theta,
+        predictive_log_density=lambda x, theta: 1000.0 * x[:, 0],
+        x_space=Box(-bound, bound))
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=-bound)
+    args = (model, GainSchedule(c1=0.1), ladder, 500)
+    kwargs = dict(proposal=RandomWalk(step=1.0), sweeps=2)
+    batch = run_samle_batch(*args, [0, 1, 2], store_thetas=True, **kwargs)
+    for member in batch:
+        solo = run_samle(*args, member.seed, **kwargs)
+        assert_same_trace(solo, member, f"seed {member.seed}")
