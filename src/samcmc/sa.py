@@ -203,6 +203,10 @@ class KahanSum:
     def __init__(self, shape):
         self.total = np.zeros(shape)
         self._comp = np.zeros(shape)
+        # per block: both running sums from the state before it and the
+        # branch of each correction; reused while blocks fit
+        self._work = np.empty((2, 0) + self.total.shape)
+        self._ge = np.empty((0,) + self.total.shape, dtype=bool)
 
     def add(self, v: np.ndarray) -> None:
         self.add_rows(np.asarray(v)[None])
@@ -210,24 +214,61 @@ class KahanSum:
     def add_rows(self, rows: np.ndarray) -> np.ndarray:
         """Add rows[0], rows[1], ... in turn; returns the value after each.
 
-        Both running sums are sequential accumulations, so the returned
-        values and the state left behind match one add per row bit for bit.
+        Both running sums are sequential: rows of at least ROW_LOOP_CELLS
+        entries are added one at a time, narrower ones with
+        np.add.accumulate, which makes the same additions in the same
+        order. Either way the returned values and the state left behind
+        match one add per row bit for bit.
         """
-        totals = np.add.accumulate(
-            np.concatenate((self.total[None], rows)), axis=0)
-        before, after = totals[:-1], totals[1:]
-        fix = np.where(np.abs(before) >= np.abs(rows),
-                       (before - after) + rows, (rows - after) + before)
-        comps = np.add.accumulate(
-            np.concatenate((self._comp[None], fix)), axis=0)
-        self.total, self._comp = after[-1].copy(), comps[-1].copy()
-        return after + comps[1:]
+        rows = np.ascontiguousarray(rows)
+        n = len(rows)
+        if self._work.shape[1] <= n:
+            self._work = np.empty((2, n + 1) + self.total.shape)
+            self._ge = np.empty((n,) + self.total.shape, dtype=bool)
+        totals, comps = self._work[:, :n + 1]
+        before, after, fix, ge = totals[:-1], totals[1:], comps[1:], self._ge[:n]
+        # the returned array, until then the larger-operand branch
+        out = np.empty((n,) + self.total.shape)
+        totals[0], comps[0] = self.total, self._comp
+        by_row = self.total.size >= ROW_LOOP_CELLS
+        _running_sum(totals, rows, by_row)
+        # each add's rounding error, computed from its larger operand
+        np.abs(before, out=out)
+        np.abs(rows, out=fix)
+        np.greater_equal(out, fix, out=ge)
+        np.subtract(before, after, out=out)
+        np.add(out, rows, out=out)
+        np.subtract(rows, after, out=fix)
+        np.add(fix, before, out=fix)
+        np.copyto(fix, out, where=ge)
+        _running_sum(comps, fix, by_row)
+        self.total, self._comp = totals[-1].copy(), comps[-1].copy()
+        return np.add(after, comps[1:], out=out)
 
     @property
     def value(self) -> np.ndarray:
         # fold the pending correction; total alone can be short by the
         # entire low-order mass parked in the compensation term
         return self.total + self._comp
+
+
+# entries per row from which KahanSum adds rows one at a time: on short
+# blocks np.add.accumulate runs as a scalar loop over the first axis, and
+# one np.add per row is faster past about this width
+ROW_LOOP_CELLS = 256
+
+
+def _running_sum(sums: np.ndarray, rows: np.ndarray, by_row: bool) -> None:
+    """sums[i + 1] = sums[i] + rows[i] in turn, from the given sums[0].
+
+    rows may be sums[1:] itself.
+    """
+    if by_row:
+        for i, row in enumerate(rows):
+            np.add(sums[i], row, out=sums[i + 1])
+    else:
+        np.copyto(sums[1:], rows)
+        np.add.accumulate(sums, axis=0, out=sums)
 
 
 @dataclass(frozen=True)
@@ -311,14 +352,14 @@ class Lockstep:
         if len(seeds) < 1:
             raise ValueError("seeds must hold at least one seed")
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
-        self.ladder = ladder
+        self.ladder, self.d = ladder, d
         self.stride = snapshot_stride
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.sig = np.zeros(B, dtype=np.int64)
         self.radius = ladder.radius_at(self.sig)
         self.events: list[list[int]] = [[] for _ in range(B)]
-        self.ksum = KahanSum((B, d))
+        self.ksum: KahanSum | None = None   # as wide as the folded rows
         self.thetas = np.empty((B, k_max, d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
         self._sq = np.empty((2, B, d))
@@ -362,24 +403,30 @@ class Lockstep:
              counts: np.ndarray | None = None) -> None:
         """Add the iterates of the steps that end at iteration k.
 
-        rows has shape (steps, B, d). When k is a snapshot point, each chain
-        records one; counts, if the engine keeps them, are the (B, m) visit
-        counts after step k.
+        rows has shape (steps, B, width), width >= d: the iterates are the
+        first d entries of a row, and the sums run over the whole row, so
+        an engine can fold contiguous rows that carry extra columns. Every
+        fold of a run must have the same width; only [:d] is reported. When
+        k is a snapshot point, each chain records one; counts, if the
+        engine keeps them, are the (B, m) visit counts after step k.
         """
+        if self.ksum is None:
+            self.ksum = KahanSum(rows.shape[1:])
         sums = self.ksum.add_rows(rows)
+        d = self.d
         if self.thetas is not None:
-            self.thetas[:, k - len(rows):k] = rows.transpose(1, 0, 2)
+            self.thetas[:, k - len(rows):k] = rows[:, :, :d].transpose(1, 0, 2)
         if k % self.stride == 0 or k == self.k_max:
             for b, snaps in enumerate(self.snaps):
                 snaps.append(Snapshot(
-                    k=k, theta=rows[-1, b].copy(),
+                    k=k, theta=rows[-1, b, :d].copy(),
                     pi_hat=None if counts is None else counts[b] / k,
-                    sigma=int(self.sig[b]), theta_sum=sums[-1, b].copy()))
+                    sigma=int(self.sig[b]), theta_sum=sums[-1, b, :d].copy()))
 
     def traces(self, theta: np.ndarray, states: Sequence,
                counts: np.ndarray | None = None) -> list[RunTrace]:
         """One trace per chain, given the final iterates and sample points."""
-        total = self.ksum.value
+        total = self.ksum.value[:, :self.d]
         return [
             RunTrace(
                 thetas=None if self.thetas is None else self.thetas[b],

@@ -28,12 +28,14 @@ from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
 # uniforms, then its acceptance ones (the draw-order contract, see
 # run_samc_batch)
 CHUNK = 8192
-# steps of draws the vectorized engine holds per chain at a time; bounds
-# its memory without changing any draw
+# steps of draws the vectorized engine holds per chain at a time, each
+# chain's in one contiguous row; bounds its memory without changing any draw
 DRAW_ROWS = 512
 # steps folded into the compensated running sum at a time: at most
 # FOLD_ROWS steps and FOLD_CELLS extended theta entries, so the fold
-# buffers stay small at large batch sizes
+# buffers stay small at large batch sizes. The fold takes the extended
+# rows whole, pinned component included, so they stay contiguous; from
+# sa.ROW_LOOP_CELLS entries per row (B * m) it sums them row by row
 FOLD_ROWS = 64
 FOLD_CELLS = 16384
 
@@ -211,14 +213,16 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     per block of CHUNK iterations, first its proposal uniforms and then its
     acceptance uniforms. A batch member therefore reproduces the same
     chain run solo, bit for bit. The engine holds DRAW_ROWS steps of draws
-    per chain at a time, step-major, one column per chain: each chain
-    draws those steps' proposal uniforms, jumps its PCG64 ahead to their
-    acceptance uniforms, draws them and jumps back. random spends one
-    64-bit output per double, so the jumps change where and when a draw is
-    made, not which draw a step uses or where a chain's stream ends a block.
+    per chain at a time, chain-major, one contiguous row per chain, and
+    reads each step's uniforms as a column: each chain draws those steps'
+    proposal uniforms, jumps its PCG64 ahead to their acceptance uniforms,
+    draws them and jumps back. random spends one 64-bit output per double,
+    so the jumps change where and when a draw is made, not which draw a
+    step uses or where a chain's stream ends a block.
 
     Iterates are folded into the compensated running sum in short blocks
-    that end at every snapshot. The truncation test is skipped for a fold
+    that end at every snapshot, as contiguous extended rows whose pinned
+    component sums to exactly 0. The truncation test is skipped for a fold
     block only when a bound padded for rounding shows that every chain
     passes both its move and its ball test there.
     """
@@ -268,11 +272,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     limits = np.empty((fold, 2, B))
     counts = np.zeros((B, m), dtype=np.int64)
 
-    # DRAW_ROWS steps of a block's draws laid out step-major, one column per
-    # chain, so each step reads contiguous (B,) uniforms at row c % DRAW_ROWS
-    u_prop = np.empty((min(DRAW_ROWS, k_max), B))
+    # DRAW_ROWS steps of a block's draws laid out chain-major, one row per
+    # chain, so each chain fills a contiguous run and each step reads its
+    # (B,) uniforms as column c % DRAW_ROWS
+    u_prop = np.empty((B, min(DRAW_ROWS, k_max)))
     u_acc = np.empty_like(u_prop)
-    u_prop_col = u_prop[:, :, None]
 
     k = 0
     while k < k_max:
@@ -282,13 +286,13 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
         while c < length:
             if c % DRAW_ROWS == 0:
                 # each rng sits at step c's proposal uniform; its acceptance
-                # uniform lies length - rows outputs past the last one drawn
-                rows = min(DRAW_ROWS, length - c)
+                # uniform lies length - held outputs past the last one drawn
+                held = min(DRAW_ROWS, length - c)
                 for b, rng in enumerate(lock.rngs):
-                    u_prop[:rows, b] = rng.random(rows)
-                    rng.bit_generator.advance(length - rows)
-                    u_acc[:rows, b] = rng.random(rows)
-                    if c + rows < length:
+                    rng.random(out=u_prop[b, :held])
+                    rng.bit_generator.advance(length - held)
+                    rng.random(out=u_acc[b, :held])
+                    if c + held < length:
                         rng.bit_generator.advance(-length)
             # a fold block ends at the chunk's end, at every snapshot and
             # where the held draws run out
@@ -304,11 +308,12 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 limits[:steps, 1] = lock.radius
             for i in range(steps):
                 k += 1
+                u_step = c % DRAW_ROWS
                 # proposal draw by inverse cdf on the current state's row:
                 # the first entry above u is the count of entries <= u, as
                 # the row is nondecreasing and ends at 1 > u
                 cdf.take(xs, axis=0, out=cdf_rows, mode="clip")
-                np.greater(cdf_rows, u_prop_col[c % DRAW_ROWS], out=above)
+                np.greater(cdf_rows, u_prop[:, u_step, None], out=above)
                 above.argmax(axis=1, out=ys)
                 log_r = ratio_table[xs, ys]
                 label_idx.take(ys, out=j_prop, mode="clip")
@@ -318,7 +323,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 np.add(log_r, th_x, out=log_r)
                 np.minimum(0.0, log_r, out=log_r)
                 np.exp(log_r, out=log_r)
-                np.less(u_acc[c % DRAW_ROWS], log_r, out=accept)
+                np.less(u_acc[:, u_step], log_r, out=accept)
                 np.copyto(xs, ys, where=accept)
                 np.copyto(j_cur, j_prop, where=accept)
 
@@ -339,7 +344,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
 
             counts += np.bincount((visited[:steps] + count_base).ravel(),
                                   minlength=B * m).reshape(B, m)
-            lock.fold(path[1:steps + 1, :, : m - 1], k, counts)
+            lock.fold(path[1:steps + 1], k, counts)
             path[0] = path[steps]
 
     return lock.traces(free_rows[0], xs.tolist(), counts)

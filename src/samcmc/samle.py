@@ -124,7 +124,8 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
     """One chain of run_samle_batch as a run_sa problem, with the same draws.
 
     Each new rng restarts the draws and takes the point it starts from as
-    the reset point. An iteration makes sweeps + 1 model calls, the first
+    the reset point. A proposal step that overflows a block's offsets
+    raises ValueError. An iteration makes sweeps + 1 model calls, the first
     sweep scoring both points in one; sample points are never modified.
     """
     if sweeps < 1:
@@ -143,7 +144,9 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
             th1, pair = th[:1], np.empty((2, x.size))
         if k % CHUNK == 0:
             z = rng.standard_normal((min(CHUNK, k_max - k), sweeps, x.size))
-            z *= step
+            with np.errstate(over="ignore"):
+                z *= step
+            _check_offsets(z, step, k)
             uniforms = iter(rng.random(z.shape[:2]).tolist())
             offsets = iter(z.reshape(-1, x.size))
             reflect = not _walls_out_of_reach(box, x[None], x0, z)
@@ -189,6 +192,15 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
                   snapshot_stride=snapshot_stride)
 
 
+def _check_offsets(offsets: np.ndarray, step: float, k: int) -> None:
+    """Raise if a block's proposal offsets, drawn after iteration k, overflowed."""
+    if not np.isfinite(offsets).all():
+        raise ValueError(
+            f"proposal step {step!r} overflows the proposal offsets of the "
+            f"block from iteration {k + 1}")
+
+
+@np.errstate(over="ignore")
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
                         offsets: np.ndarray) -> bool:
     """True when no proposal in this block can leave the box.
@@ -197,7 +209,8 @@ def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
     reset point x0 and then moves by at most one offset per MH step, so
     each proposal lies within that hull widened by the count of steps
     times the largest offset. The bound is widened once more for the
-    rounding of that many additions; NaN or inf anywhere makes it fail.
+    rounding of that many additions; NaN or inf anywhere, or a reach past
+    float range, makes it fail.
     """
     steps = offsets.shape[0] * offsets.shape[1]
     reach = steps * max(offsets.max(), -offsets.min())
@@ -268,7 +281,9 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     proposals in one stacked model call. The iterates of a block are kept
     and folded into the compensated running sum at every snapshot and when
     the block ends. Overflow warnings are off: a nonfinite gradient or
-    half-step raises an error naming the iteration, as in run_sa.
+    half-step raises an error naming the iteration, as in run_sa, and a
+    proposal step that overflows a block's offsets a ValueError naming the
+    step and the block's first iteration, as in samle_problem.
     """
     lock = Lockstep(schedule, ladder, k_max, seeds, ladder.center.size,
                     snapshot_stride, store_thetas)
@@ -318,6 +333,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
         length = min(CHUNK, k_max - k)
         z, u = offsets[:length], uniforms[:length]
         _fill_block(lock.rngs, z, u, proposal.step)
+        _check_offsets(z, proposal.step, k)
         reflect = not _walls_out_of_reach(box, xs, x0, z)
         gains, thresholds = lock.block_schedule(k, length)
         limits[:length, 0] = np.array(thresholds)[:, None]

@@ -32,7 +32,7 @@ from samcmc import (
     trajectory_average,
     validate_schedule,
 )
-from samcmc.sa import Lockstep, _dist, mh_accept
+from samcmc.sa import ROW_LOOP_CELLS, Lockstep, _dist, mh_accept
 from test_samle import trace_digest
 
 # trace_digest of run_sa on the noisy-mean problem below, once on the
@@ -364,6 +364,7 @@ from samcmc import SamcModel, chain10, load_gaussian_toy
 import test_samc, test_samle, test_sa_core
 model = SamcModel.from_chain(chain10())
 test_samc.test_batch_engine_golden_digests_tight_ladder(model)
+test_samc.test_batch_engine_golden_digest_wide_batch(model)
 test_samc.test_solo_run_golden_digest(model)
 test_samle.test_batch_engine_reflects_at_narrow_box_walls(load_gaussian_toy())
 test_sa_core.test_run_sa_golden_digests()
@@ -509,6 +510,18 @@ def test_kahan_sum_survives_cancellation():
     assert (np.abs(values.sum(axis=0) - exact) / np.abs(exact)).max() > 1e-3
 
 
+def neumaier_per_row(rows):
+    """The value after each row of one compensated add per row, from 0."""
+    total, comp, expected = np.zeros(rows.shape[1:]), np.zeros(rows.shape[1:]), []
+    for row in rows:
+        t = total + row
+        big = np.abs(total) >= np.abs(row)
+        comp = comp + np.where(big, (total - t) + row, (row - t) + total)
+        total = t
+        expected.append(total + comp)
+    return np.array(expected)
+
+
 def test_kahan_add_rows_matches_one_add_per_row():
     # block adds must reproduce Neumaier's per-row recursion bit for bit,
     # from a nonzero state, through exact cancellations and mixed magnitudes
@@ -517,22 +530,40 @@ def test_kahan_add_rows_matches_one_add_per_row():
         -12, 12, (600, 3, 2))
     values[100:400:3] = 1e8
     values[102:400:3] = -1e8
-    total, comp, expected = np.zeros((3, 2)), np.zeros((3, 2)), []
-    for row in np.concatenate((values, values[:1])):
-        t = total + row
-        big = np.abs(total) >= np.abs(row)
-        comp = comp + np.where(big, (total - t) + row, (row - t) + total)
-        total = t
-        expected.append(total + comp)
+    expected = neumaier_per_row(np.concatenate((values, values[:1])))
     blk = KahanSum((3, 2))
     for row in values[:7]:
         blk.add(row)
     assert blk.value.tobytes() == expected[6].tobytes()
     got = np.concatenate([blk.add_rows(values[7:300]),
                           blk.add_rows(values[300:])])
-    assert got.tobytes() == np.array(expected[7:600]).tobytes()
+    assert got.tobytes() == expected[7:600].tobytes()
     blk.add(values[0])
     assert blk.value.tobytes() == expected[600].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_kahan_add_rows_of_wide_rows_matches_one_add_per_row(layout):
+    # rows of 100 x 3 entries take the row-by-row sums; blocks of changing
+    # length reuse and regrow the work buffers. From a nonzero state,
+    # through exact cancellations, bit for bit
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((200, 100, 4)) * 10.0 ** rng.integers(
+        -12, 12, (200, 100, 4))
+    values[20:150:3] = 1e8
+    values[22:150:3] = -1e8
+    rows = values[..., :3] if layout == "strided" else values[..., :3].copy()
+    assert rows[0].size >= ROW_LOOP_CELLS
+    assert rows.flags.c_contiguous == (layout == "contiguous")
+    start = rng.standard_normal((2, 100, 3))
+    blk = KahanSum((100, 3))
+    blk.add(start[0])
+    blk.add(start[1])
+    expected = neumaier_per_row(np.concatenate((start, rows)))[2:]
+    cuts = [0, 5, 69, 70, 200]
+    got = np.concatenate([blk.add_rows(rows[a:b]) for a, b in zip(cuts, cuts[1:])])
+    assert got.tobytes() == expected.tobytes()
+    assert blk.value.tobytes() == expected[-1].tobytes()
 
 
 def test_snapshot_sums_match_prefix_means():

@@ -27,6 +27,7 @@ from samcmc import (
     visit_freq,
 )
 from samcmc import samc
+from samcmc.sa import ROW_LOOP_CELLS
 from test_samle import assert_same_trace, trace_digest
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
@@ -258,6 +259,9 @@ GOLDEN_M1 = {
     8: "980f632974bd28c863bdeb4862357a73c2e60313da964e0fa6b293c69dad8811",
     9: "7201d96fccfacd82f6df0ef5a11215b8ec5fdab538de8dfd1f476b5890c6b63d",
 }
+# sha256 over the samc_digest of each of 128 chains on the r0 = 0.5 ladder
+GOLDEN_CHAIN10_WIDE = (
+    "5e539d2a1c35d980f806ef6be334abab3f0b72cffcc3ba40fa4196c57bea4b78")
 GOLDEN_MOVE_BINDS = {
     31: "48d480d1f24af71ff334f7afacf57527172c951d395e92eb6fbac79a5ec9856d",
     32: "872b2b8d4522520db4b94c8b1ff71400a42541c6f7c47a33e3f790645c585ec1",
@@ -349,6 +353,22 @@ def test_solo_run_matches_batch_member_on_random_chains(chain_seed, n, m):
     assert_same_trace(solo, member, f"seed {seed}, N={n}, m={m}")
 
 
+def test_wide_batch_members_match_solo_runs(model):
+    # 128 chains fold rows of 128 x 3 extended entries, so the compensated
+    # sums take the row-by-row path; r0 = 0.5 truncates, k = 9000 crosses
+    # samc.CHUNK and the stride 700 does not divide it
+    B, k_max = 128, 9000
+    assert B * model.m >= ROW_LOOP_CELLS
+    assert k_max > samc.CHUNK and k_max % 700
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0)
+    batch = run_samc_batch(model, GainSchedule(), ladder, k_max, list(range(B)),
+                           snapshot_stride=700, store_thetas=True)
+    for b in (0, 64, 127):
+        solo = run_samc(model, GainSchedule(), ladder, k_max, b, snapshot_stride=700)
+        assert solo.sigma_events, "the ladder must truncate"
+        assert_same_trace(solo, batch[b], f"seed {b} of {B}")
+
+
 class Draws:
     """Stands in for a Generator: hands out the given blocks of uniforms."""
 
@@ -405,6 +425,17 @@ def test_batch_engine_golden_digests_tight_ladder(model):
     traces = run_samc_batch(model, GainSchedule(), ladder, 20_000, [3, 4, 5])
     assert all(t.sigma_events for t in traces)
     assert digests(traces) == GOLDEN_CHAIN10_TIGHT
+
+
+def test_batch_engine_golden_digest_wide_batch(model):
+    # wide enough for the compensated sums' row-by-row path
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0)
+    traces = run_samc_batch(model, GainSchedule(), ladder, 2000, list(range(128)),
+                            snapshot_stride=300)
+    assert all(t.sigma_events for t in traces)
+    assert 128 * model.m >= ROW_LOOP_CELLS
+    digest = hashlib.sha256("".join(map(samc_digest, traces)).encode())
+    assert digest.hexdigest() == GOLDEN_CHAIN10_WIDE
 
 
 def test_solo_run_golden_digest(model):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -475,6 +476,29 @@ def test_nonfinite_values_abort_both_paths_alike(path, value, error):
         with pytest.raises(error, match="at iteration 2:") as info:
             path(first_step_then(value), schedule, ladder, 10)
     assert info.value.iteration == 2
+
+
+@pytest.mark.parametrize("path, step, seeds, first", [
+    ("solo", 1e308, [0], 1), ("solo", 4e307, [2], samle.CHUNK + 1),
+    ("batch", 1e308, [0], 1), ("batch", 1e308, [0, 1], 1),
+    ("batch", 4e307, [2], samle.CHUNK + 1), ("batch", 4e307, [1, 2], samle.CHUNK + 1),
+], ids=["solo-first-block", "solo-second-block", "batch-first-block",
+        "batch-B2-first-block", "batch-second-block", "batch-B2-second-block"])
+def test_overflowing_proposal_step_fails_loudly(toy_y, path, step, seeds, first):
+    # normals beyond float max / step overflow the offsets; without the
+    # check the latents would turn NaN at the walls or never move. At 4e307
+    # that takes |z| > 4.5: seed 2's first block has none and its second
+    # some, seed 1's first two blocks none
+    model = gaussian_location_model(toy_y)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    args = (model, GainSchedule(c1=0.1), ladder, 2 * samle.CHUNK)
+    message = re.escape(f"proposal step {step!r} overflows the proposal offsets "
+                        f"of the block from iteration {first}") + "$"
+    with pytest.raises(ValueError, match=message):
+        if path == "solo":
+            run_samle(*args, seeds[0], proposal=RandomWalk(step=step))
+        else:
+            run_samle_batch(*args, seeds, proposal=RandomWalk(step=step))
 
 
 class DrawFault(RuntimeError):
