@@ -6,126 +6,18 @@ driver, a missing-data maximum likelihood solver built on the same
 recursion, and an exact finite-chain oracle for validating all of them.
 """
 
-from .oracle import (
-    FiniteChainSpec,
-    NoiseCovariance,
-    asymptotic_cov,
-    chain10,
-    dump_chain_file,
-    exact_omega,
-    jacobian,
-    load_chain_file,
-    lyapunov,
-    mean_field,
-    noise_covariance,
-    poisson_solve,
-    stationary_dist,
-    theta_star,
-    transition_matrix,
-    visit_indicator_table,
-)
-from .sa import (
-    GainSchedule,
-    KahanSum,
-    NonFiniteIterateError,
-    RunTrace,
-    SaProblem,
-    ScheduleClause,
-    ScheduleValidationError,
-    Snapshot,
-    TruncationLadder,
-    ValidationReport,
-    gain_at,
-    run_sa,
-    threshold_at,
-    trajectory_average,
-    validate_schedule,
-)
-from .samc import (
-    SamcModel,
-    omega_hat,
-    run_samc,
-    run_samc_batch,
-    visit_freq,
-)
-from .samle import (
-    Box,
-    MissingDataModel,
-    NonFiniteGradientError,
-    RandomWalk,
-    gaussian_location_model,
-    load_gaussian_toy,
-    reflect_into_box,
-    run_samle,
-    run_samle_batch,
-)
-from .harness import (
-    OUTPUT_DIR_ENV,
-    ConfigError,
-    EfficiencyReport,
-    ExperimentConfig,
-    load_config,
-    run_replications,
-    run_single,
-    write_outputs,
-    write_trace,
-)
+from . import harness, oracle, sa, samc, samle
+from .oracle import *
+from .sa import *
+from .samc import *
+from .samle import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "OUTPUT_DIR_ENV",
-    "Box",
-    "ConfigError",
-    "EfficiencyReport",
-    "ExperimentConfig",
-    "FiniteChainSpec",
-    "GainSchedule",
-    "KahanSum",
-    "MissingDataModel",
-    "NoiseCovariance",
-    "NonFiniteGradientError",
-    "NonFiniteIterateError",
-    "RandomWalk",
-    "RunTrace",
-    "SaProblem",
-    "SamcModel",
-    "ScheduleClause",
-    "ScheduleValidationError",
-    "Snapshot",
-    "TruncationLadder",
-    "ValidationReport",
-    "asymptotic_cov",
-    "chain10",
-    "dump_chain_file",
-    "exact_omega",
-    "gain_at",
-    "gaussian_location_model",
-    "jacobian",
-    "load_chain_file",
-    "load_config",
-    "load_gaussian_toy",
-    "lyapunov",
-    "mean_field",
-    "noise_covariance",
-    "omega_hat",
-    "poisson_solve",
-    "reflect_into_box",
-    "run_replications",
-    "run_sa",
-    "run_samc",
-    "run_samc_batch",
-    "run_samle",
-    "run_samle_batch",
-    "run_single",
-    "stationary_dist",
-    "theta_star",
-    "threshold_at",
-    "trajectory_average",
-    "transition_matrix",
-    "validate_schedule",
-    "visit_freq",
-    "visit_indicator_table",
-    "write_outputs",
-    "write_trace",
-]
+__all__ = []
+__all__ += oracle.__all__
+__all__ += sa.__all__
+__all__ += samc.__all__
+__all__ += samle.__all__
+__all__ += harness.__all__

@@ -41,6 +41,18 @@ from .sa import (
 from .samc import SamcModel, omega_hat, run_samc, run_samc_batch, visit_freq
 from .samle import RandomWalk, gaussian_location_model, load_gaussian_toy, run_samle
 
+__all__ = [
+    "OUTPUT_DIR_ENV",
+    "ConfigError",
+    "EfficiencyReport",
+    "ExperimentConfig",
+    "load_config",
+    "run_replications",
+    "run_single",
+    "write_outputs",
+    "write_trace",
+]
+
 OUTPUT_DIR_ENV = "SAMCMC_OUTPUT_DIR"
 
 MODES = ("samc", "samle", "oracle", "validate")
@@ -207,7 +219,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def load_chain(config: ExperimentConfig) -> FiniteChainSpec:
-    """Chain named by the config, or the packaged ten-state instance."""
+    """Chain named by a samc or oracle config, or the packaged ten-state one."""
+    _require(config.mode in ("samc", "oracle"),
+             f"config mode is {config.mode!r}, expected 'samc' or 'oracle'")
     if config.chain_file is None:
         return chain10()
     try:
@@ -262,13 +276,17 @@ def _samle_ladder(config: ExperimentConfig, y: np.ndarray) -> TruncationLadder:
     return _build_ladder(config, 1, x0)
 
 
+def _samc_setup(config: ExperimentConfig):
+    """The config's chain, its SAMC model and its ladder, in that order."""
+    chain = load_chain(config)
+    return chain, SamcModel.from_chain(chain), _samc_ladder(config, chain)
+
+
 def run_single(config: ExperimentConfig):
     """Execute one seeded run per the config; returns (trace, summary)."""
     start = time.perf_counter()
     if config.mode == "samc":
-        chain = load_chain(config)
-        model = SamcModel.from_chain(chain)
-        ladder = _samc_ladder(config, chain)
+        chain, model, ladder = _samc_setup(config)
         trace = run_samc(model, config.schedule, ladder, config.k_max,
                          config.seed, snapshot_stride=config.snapshot_stride)
         summary = _summarize(trace, config, pi=chain.pi)
@@ -345,9 +363,7 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
     if R < 2:
         raise ConfigError(f"need R >= 2 for covariance estimates, got R={R}")
     start = time.perf_counter()
-    chain = load_chain(config)
-    model = SamcModel.from_chain(chain)
-    ladder = _samc_ladder(config, chain)
+    chain, model, ladder = _samc_setup(config)
     seeds = [config.seed + r for r in range(R)]
     traces = run_samc_batch(model, config.schedule, ladder, config.k_max,
                             seeds, snapshot_stride=config.snapshot_stride,
@@ -418,22 +434,15 @@ def write_trace(trace: RunTrace, path) -> Path:
     path = Path(path)
     if not trace.snapshots:
         raise ValueError("trace has no snapshots to write")
-    d = trace.snapshots[0].theta.size
-    with_pi = trace.snapshots[0].pi_hat is not None
-    m = trace.snapshots[0].pi_hat.size if with_pi else 0
-    cols = ["k"]
-    cols += [f"theta_{i + 1}" for i in range(d)]
-    cols += [f"pi_hat_{i + 1}" for i in range(m)]
-    cols.append("sigma")
-    lines = [",".join(cols)]
-    for snap in trace.snapshots:
-        row = [str(snap.k)]
-        row += [format(v, ".17g") for v in snap.theta]
-        if with_pi:
-            row += [format(v, ".17g") for v in snap.pi_hat]
-        row.append(str(snap.sigma))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    first = trace.snapshots[0]
+    d = first.theta.size
+    m = 0 if first.pi_hat is None else first.pi_hat.size
+    header = ",".join(["k"] + [f"theta_{i + 1}" for i in range(d)]
+                      + [f"pi_hat_{i + 1}" for i in range(m)] + ["sigma"])
+    rows = [[snap.k, *snap.theta, *(snap.pi_hat if m else ()), snap.sigma]
+            for snap in trace.snapshots]
+    np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * (d + m) + ["%d"],
+               delimiter=",", header=header, comments="")
     return path
 
 

@@ -20,6 +20,25 @@ from pathlib import Path
 
 import numpy as np
 
+__all__ = [
+    "FiniteChainSpec",
+    "NoiseCovariance",
+    "asymptotic_cov",
+    "chain10",
+    "dump_chain_file",
+    "exact_omega",
+    "jacobian",
+    "load_chain_file",
+    "lyapunov",
+    "mean_field",
+    "noise_covariance",
+    "poisson_solve",
+    "stationary_dist",
+    "theta_star",
+    "transition_matrix",
+    "visit_indicator_table",
+]
+
 ROW_SUM_TOL = 1e-12
 
 

@@ -24,6 +24,24 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+__all__ = [
+    "GainSchedule",
+    "KahanSum",
+    "NonFiniteIterateError",
+    "RunTrace",
+    "SaProblem",
+    "ScheduleClause",
+    "ScheduleValidationError",
+    "Snapshot",
+    "TruncationLadder",
+    "ValidationReport",
+    "gain_at",
+    "run_sa",
+    "threshold_at",
+    "trajectory_average",
+    "validate_schedule",
+]
+
 
 @dataclass(frozen=True)
 class GainSchedule:

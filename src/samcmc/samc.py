@@ -24,6 +24,14 @@ from .oracle import FiniteChainSpec
 from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
                  mh_accept, run_sa)
 
+__all__ = [
+    "SamcModel",
+    "omega_hat",
+    "run_samc",
+    "run_samc_batch",
+    "visit_freq",
+]
+
 # iterations per block of draws: each chain draws a block's proposal
 # uniforms, then its acceptance ones (the draw-order contract, see
 # run_samc_batch)
@@ -203,6 +211,7 @@ def _block_may_truncate(theta: np.ndarray, center: np.ndarray,
                 and np.all((dev + bounds.sum()) * pad < radius))
 
 
+@np.errstate(over="ignore")
 def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                    ladder: TruncationLadder, k_max: int, seeds: Sequence[int],
                    *, snapshot_stride: int = 1000,
@@ -321,7 +330,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 path_flat.take(idx, out=th_pair, mode="clip")
                 np.subtract(th_x, th_y, out=th_x)
                 np.add(log_r, th_x, out=log_r)
-                np.minimum(0.0, log_r, out=log_r)
+                # u < 1, so exp(r) decides as exp(min(r, 0)) would
                 np.exp(log_r, out=log_r)
                 np.less(u_acc[:, u_step], log_r, out=accept)
                 np.copyto(xs, ys, where=accept)

@@ -28,6 +28,18 @@ import numpy as np
 from .sa import (GainSchedule, Lockstep, NonFiniteIterateError, RunTrace,
                  SaProblem, TruncationLadder, mh_accept, run_sa)
 
+__all__ = [
+    "Box",
+    "MissingDataModel",
+    "NonFiniteGradientError",
+    "RandomWalk",
+    "gaussian_location_model",
+    "load_gaussian_toy",
+    "reflect_into_box",
+    "run_samle",
+    "run_samle_batch",
+]
+
 CHUNK = 2048
 
 
@@ -123,10 +135,11 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
                   sweeps: int = 1) -> SaProblem:
     """One chain of run_samle_batch as a run_sa problem, with the same draws.
 
-    Each new rng restarts the draws and takes the point it starts from as
-    the reset point. A proposal step that overflows a block's offsets
-    raises ValueError. An iteration makes sweeps + 1 model calls, the first
-    sweep scoring both points in one; sample points are never modified.
+    Blocks are drawn by _draw_block, as in the batch. Each new rng restarts
+    the draws and takes the point it starts from as the reset point. A
+    proposal step that overflows a block's offsets raises ValueError. An
+    iteration makes sweeps + 1 model calls, the first sweep scoring both
+    points in one; sample points are never modified.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
@@ -143,13 +156,11 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
             th = np.empty((2, len(theta)))      # theta for each of two rows
             th1, pair = th[:1], np.empty((2, x.size))
         if k % CHUNK == 0:
-            z = rng.standard_normal((min(CHUNK, k_max - k), sweeps, x.size))
-            with np.errstate(over="ignore"):
-                z *= step
-            _check_offsets(z, step, k)
-            uniforms = iter(rng.random(z.shape[:2]).tolist())
+            z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
+            us = np.empty(z.shape[:3])
+            reflect = _draw_block([rng], z, us, step, k, box, x[None], x0)
             offsets = iter(z.reshape(-1, x.size))
-            reflect = not _walls_out_of_reach(box, x[None], x0, z)
+            uniforms = iter(us[:, :, 0].tolist())
         k += 1
         th[:] = theta
         for s, u in enumerate(next(uniforms)):
@@ -192,14 +203,6 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
                   snapshot_stride=snapshot_stride)
 
 
-def _check_offsets(offsets: np.ndarray, step: float, k: int) -> None:
-    """Raise if a block's proposal offsets, drawn after iteration k, overflowed."""
-    if not np.isfinite(offsets).all():
-        raise ValueError(
-            f"proposal step {step!r} overflows the proposal offsets of the "
-            f"block from iteration {k + 1}")
-
-
 @np.errstate(over="ignore")
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
                         offsets: np.ndarray) -> bool:
@@ -232,32 +235,38 @@ def _fill_chains(rngs, chains, z, u, step):
         u[:, :, b] = rngs[b].random(u.shape[:2])
 
 
-def _fill_block(rngs, z, u, step):
-    """Fill one block's draws, the odd chains on a helper thread.
+def _draw_block(rngs, z, u, step, k, box, xs, x0) -> bool:
+    """Draw the block after iteration k; return whether to reflect into box.
 
-    numpy's generators release the GIL while they fill, so the two halves
-    overlap. Each generator is used by one thread and writes only its own
-    column, so the draws do not depend on the split. An exception on the
-    helper is raised here after the join.
+    The odd chains draw on a helper thread: numpy's generators release the
+    GIL while they fill, and each writes only its own chain's column, so
+    the draws do not depend on the split. A helper's exception is raised
+    here after the join; offsets that overflow raise ValueError.
     """
     if len(rngs) == 1:
-        return _fill_chains(rngs, [0], z, u, step)
-    failed = []
+        _fill_chains(rngs, [0], z, u, step)
+    else:
+        failed = []
 
-    def fill_odd():
+        def fill_odd():
+            try:
+                _fill_chains(rngs, range(1, len(rngs), 2), z, u, step)
+            except BaseException as exc:    # re-raised on the caller's thread
+                failed.append(exc)
+
+        helper = threading.Thread(target=fill_odd, name="samle-fill")
+        helper.start()
         try:
-            _fill_chains(rngs, range(1, len(rngs), 2), z, u, step)
-        except BaseException as exc:    # re-raised on the caller's thread
-            failed.append(exc)
-
-    helper = threading.Thread(target=fill_odd, name="samle-fill")
-    helper.start()
-    try:
-        _fill_chains(rngs, range(0, len(rngs), 2), z, u, step)
-    finally:
-        helper.join()
-    if failed:
-        raise failed[0]
+            _fill_chains(rngs, range(0, len(rngs), 2), z, u, step)
+        finally:
+            helper.join()
+        if failed:
+            raise failed[0]
+    if not np.isfinite(z).all():
+        raise ValueError(
+            f"proposal step {step!r} overflows the proposal offsets of the "
+            f"block from iteration {k + 1}")
+    return not _walls_out_of_reach(box, xs, x0, z)
 
 
 @np.errstate(over="ignore")
@@ -271,11 +280,11 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     Chain b consumes only default_rng(seeds[b]). Per block of CHUNK
     iterations each chain draws its proposal normals first (one
     (CHUNK, sweeps, dim) block) and then its acceptance uniforms, making
-    every chain's stream independent of the batch composition. With two
-    or more chains, one helper thread draws the odd chains' blocks while
-    the caller draws the even ones. Each generator is used by one thread
-    only, in the same order, so the bits do not depend on the split; the
-    model's callables run on the caller's thread alone.
+    every chain's stream independent of the batch composition. Blocks are
+    drawn by _draw_block, as in samle_problem: a helper thread draws the
+    odd chains' while the caller draws the even ones. Each generator is
+    used by one thread only, in the same order, so the bits do not depend
+    on the split; the model's callables run on the caller's thread alone.
 
     Per iteration the first sweep scores the current latents and their
     proposals in one stacked model call. The iterates of a block are kept
@@ -332,9 +341,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     while k < k_max:
         length = min(CHUNK, k_max - k)
         z, u = offsets[:length], uniforms[:length]
-        _fill_block(lock.rngs, z, u, proposal.step)
-        _check_offsets(z, proposal.step, k)
-        reflect = not _walls_out_of_reach(box, xs, x0, z)
+        reflect = _draw_block(lock.rngs, z, u, proposal.step, k, box, xs, x0)
         gains, thresholds = lock.block_schedule(k, length)
         limits[:length, 0] = np.array(thresholds)[:, None]
         limits[:length, 1] = lock.radius

@@ -66,11 +66,37 @@ SMALL_SAMC = """\
 """
 
 
+PUBLIC_NAMES = """
+    OUTPUT_DIR_ENV Box ConfigError EfficiencyReport ExperimentConfig
+    FiniteChainSpec GainSchedule KahanSum MissingDataModel NoiseCovariance
+    NonFiniteGradientError NonFiniteIterateError RandomWalk RunTrace SaProblem
+    SamcModel ScheduleClause ScheduleValidationError Snapshot TruncationLadder
+    ValidationReport asymptotic_cov chain10 dump_chain_file exact_omega gain_at
+    gaussian_location_model jacobian load_chain_file load_config
+    load_gaussian_toy lyapunov mean_field noise_covariance omega_hat
+    poisson_solve reflect_into_box run_replications run_sa run_samc
+    run_samc_batch run_samle run_samle_batch run_single stationary_dist
+    theta_star threshold_at trajectory_average transition_matrix
+    validate_schedule visit_freq visit_indicator_table write_outputs write_trace
+""".split()
+
+
 def test_all_lists_every_public_name_once():
     public = {name for name, value in vars(samcmc).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert len(samcmc.__all__) == len(set(samcmc.__all__))
-    assert set(samcmc.__all__) == public
+    assert set(samcmc.__all__) == public == set(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 54
+    # each module lists names it binds, and the package adds up the lists,
+    # so no name may sit in two of them
+    listed = []
+    for module in (samcmc.oracle, samcmc.sa, samcmc.samc, samcmc.samle,
+                   samcmc.harness):
+        for name in module.__all__:
+            assert name in vars(module), (module.__name__, name)
+            assert getattr(samcmc, name) is vars(module)[name], name
+        listed += module.__all__
+    assert sorted(listed) == sorted(samcmc.__all__)
 
 
 def test_benchmark_hooks_resolve():
@@ -453,10 +479,6 @@ def test_cli_run_samc_writes_artifacts(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "runout" / "trace_samc_2.csv").exists()
     assert (tmp_path / "runout" / "summary_samc_2.json").exists()
 
-    # config mode must match the subcommand
-    assert main(["run-samle", str(p)]) == 2
-    assert "expected 'samle'" in capsys.readouterr().err
-
 
 def test_cli_run_samle(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "o"))
@@ -598,6 +620,25 @@ def test_cli_reports_reducible_chain(tmp_path, capsys, command):
     assert main([command, str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: kernel not irreducible\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, mode, message", [
+    ("run-samc", "samle", "config mode is 'samle', expected 'samc'"),
+    ("run-samle", "samc", "config mode is 'samc', expected 'samle'"),
+    ("efficiency", "samle", "replication experiments need mode: samc"),
+    ("oracle", "samle", "config mode is 'samle', expected 'samc' or 'oracle'"),
+    ("oracle", "validate", "config mode is 'validate', expected 'samc' or 'oracle'"),
+], ids=["run-samc-on-samle", "run-samle-on-samc", "efficiency-on-samle",
+        "oracle-on-samle", "oracle-on-validate"])
+def test_cli_rejects_config_of_another_mode(tmp_path, capsys, command, mode, message):
+    # only samc and oracle configs name a chain for the oracle to analyse
+    p = write_config(tmp_path, f"mode: {mode}\nk_max: 200\nreplications: 2\n"
+                               f"output_dir: {tmp_path / 'out'}\n")
+    assert main([command, str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
 

@@ -319,6 +319,18 @@ def test_mh_accept_decides_as_numpy_exp_on_an_array():
     assert decided == engine.tolist()
 
 
+def test_numpy_exp_of_a_nonnegative_double_is_at_least_one():
+    # both lockstep engines accept iff u < exp(log_r) with u < 1, which
+    # decides as exp(min(log_r, 0)) only while exp never drops below 1 here
+    spread = np.concatenate(([0.0], np.logspace(-300, 2, 300_001)))
+    tiny = np.arange(1, 1_000_001, dtype=np.int64).view(np.float64)
+    assert tiny[0] == 5e-324 and tiny[-1] > tiny[-2] > 0
+    for x in (spread, tiny):
+        e = np.empty_like(x)
+        np.exp(x, out=e)
+        assert (e >= 1.0).all(), x[e < 1.0][:5]
+
+
 @pytest.mark.parametrize("h, r0, events", [
     (0.0, 1e-6, []),
     (0.6, 0.5, [1]),
@@ -358,7 +370,7 @@ def test_run_sa_golden_digests():
 
 
 # golden digests of the SAMC and SA-MLE batch engines and of solo run_sa
-# runs, for a process of their own
+# runs, and the engines' exp bound, for a process of their own
 DIGEST_CHECKS = """
 from samcmc import SamcModel, chain10, load_gaussian_toy
 import test_samc, test_samle, test_sa_core
@@ -368,6 +380,7 @@ test_samc.test_batch_engine_golden_digest_wide_batch(model)
 test_samc.test_solo_run_golden_digest(model)
 test_samle.test_batch_engine_reflects_at_narrow_box_walls(load_gaussian_toy())
 test_sa_core.test_run_sa_golden_digests()
+test_sa_core.test_numpy_exp_of_a_nonnegative_double_is_at_least_one()
 """
 
 

@@ -369,6 +369,24 @@ def test_wide_batch_members_match_solo_runs(model):
         assert_same_trace(solo, batch[b], f"seed {b} of {B}")
 
 
+def test_overflowing_acceptance_ratio_decides_silently():
+    # log psi jumps by 900 between the subregions, so an uphill proposal's
+    # exp(log_r) overflows to inf, which accepts as exp(0) did; under the
+    # error filter any warning fails the test
+    model = SamcModel.from_chain(FiniteChainSpec(
+        n_states=4, log_psi=np.array([0.0, 0.0, 900.0, 900.0]),
+        labels=np.array([1, 1, 2, 2]), proposal=(1 - np.eye(4)) / 3,
+        pi=np.array([0.5, 0.5])))
+    assert np.nanmax(model.ratio_table) > math.log(np.finfo(float).max)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=0)
+    batch = run_samc_batch(model, GainSchedule(), ladder, 3000, [0, 1, 2],
+                           snapshot_stride=700, store_thetas=True)
+    for member in batch:
+        solo = run_samc(model, GainSchedule(), ladder, 3000, member.seed,
+                        snapshot_stride=700)
+        assert_same_trace(solo, member, f"seed {member.seed}")
+
+
 class Draws:
     """Stands in for a Generator: hands out the given blocks of uniforms."""
 
