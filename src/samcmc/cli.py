@@ -20,7 +20,8 @@ from .harness import (
     run_single,
     write_outputs,
 )
-from .oracle import exact_omega, jacobian, mean_field, noise_covariance, theta_star
+from .oracle import (_scaled_omega, exact_omega, jacobian, mean_field,
+                     noise_covariance, theta_star)
 from .sa import ScheduleValidationError, validate_schedule
 
 
@@ -60,11 +61,11 @@ def _cmd_run(args, mode: str) -> int:
 
 def _cmd_oracle(args) -> int:
     chain = load_chain(load_config(args.config))
-    omega = exact_omega(chain)
+    omega = _scaled_omega(chain)
     tstar = theta_star(omega, chain.pi)
     zero = np.zeros(chain.m - 1)
     nc = noise_covariance(chain, tstar)
-    print(f"omega:      {_fmt_vec(omega)}")
+    print(f"omega:      {_fmt_vec(exact_omega(chain))}")
     print(f"theta_star: {_fmt_vec(tstar)}")
     print(f"h(0):       {_fmt_vec(mean_field(zero, omega, chain.pi))}")
     print("F(theta_star):")

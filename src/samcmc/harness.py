@@ -24,8 +24,8 @@ import yaml
 
 from .oracle import (
     FiniteChainSpec,
+    _scaled_omega,
     chain10,
-    exact_omega,
     load_chain_file,
     noise_covariance,
     theta_star,
@@ -364,6 +364,9 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
         raise ConfigError(f"need R >= 2 for covariance estimates, got R={R}")
     start = time.perf_counter()
     chain, model, ladder = _samc_setup(config)
+    # the oracle rejects a chain it cannot analyse before any chain runs
+    tstar = theta_star(_scaled_omega(chain), chain.pi)
+    gamma = noise_covariance(chain, tstar).gamma
     seeds = [config.seed + r for r in range(R)]
     traces = run_samc_batch(model, config.schedule, ladder, config.k_max,
                             seeds, snapshot_stride=config.snapshot_stride,
@@ -375,9 +378,6 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
     k = config.k_max
     empirical = k * np.atleast_2d(np.cov(tbars.T, ddof=1))
     last_cov = k * np.atleast_2d(np.cov(lasts.T, ddof=1))
-    omega = exact_omega(chain)
-    tstar = theta_star(omega, chain.pi)
-    gamma = noise_covariance(chain, tstar).gamma
     frob = float(np.linalg.norm(empirical - gamma)
                  / np.linalg.norm(gamma))
 

@@ -174,10 +174,20 @@ def chain10() -> FiniteChainSpec:
 # ---------------------------------------------------------------------------
 
 def exact_omega(chain: FiniteChainSpec) -> np.ndarray:
-    """Subregion weights: omega_i = sum of psi over states labeled i."""
-    psi = np.exp(chain.log_psi)
+    """Subregion weights: omega_i = sum of psi over states labeled i.
+
+    They read inf or 0 where psi leaves float range; theta*, h and F see
+    only their ratios, and the oracle takes those from _scaled_omega.
+    """
+    with np.errstate(over="ignore"):
+        return _scaled_omega(chain, 0.0)
+
+
+def _scaled_omega(chain: FiniteChainSpec, shift: float | None = None) -> np.ndarray:
+    """The weights times exp(-shift), by default exp(-max log psi)."""
+    shift = chain.log_psi.max() if shift is None else shift
     omega = np.zeros(chain.m)
-    np.add.at(omega, chain.labels0, psi)
+    np.add.at(omega, chain.labels0, np.exp(chain.log_psi - shift))
     return omega
 
 
@@ -349,7 +359,7 @@ def noise_covariance(chain: FiniteChainSpec, theta: np.ndarray) -> NoiseCovarian
     pu = p @ u
     second = np.einsum("x,xy,yi,yj->ij", f, p, u, u, optimize=True)
     q_matrix = second - np.einsum("x,xi,xj->ij", f, pu, pu, optimize=True)
-    fmat = jacobian(theta, exact_omega(chain), chain.pi)
+    fmat = jacobian(theta, _scaled_omega(chain), chain.pi)
     gamma = asymptotic_cov(fmat, q_matrix)
     return NoiseCovariance(q_matrix=q_matrix, gamma=gamma)
 

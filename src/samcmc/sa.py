@@ -380,7 +380,8 @@ class Lockstep:
         self.ksum: KahanSum | None = None   # as wide as the folded rows
         self.thetas = np.empty((B, k_max, d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-        self._sq = np.empty((2, B, d))
+        self._sq = np.zeros((2, B, max(d, 1)))
+        self._diff, self._total = self._sq[:, :, :d], self._sq[:, :, -1]
         self._norms = np.empty((2, B))
         self._within = np.empty((2, B), dtype=bool)
 
@@ -397,14 +398,14 @@ class Lockstep:
         ref (2, B, d) holds each chain's previous iterate and the ball
         center, limits (2, B) b_k and each chain's radius. Returns None when
         every chain passes both, else the mask of chains to reset; a NaN or
-        inf half-step fails, as b_k is finite. _dist mirrors these norms in
-        run_sa bit for bit.
+        inf half-step fails, as b_k is finite. Each norm is a running sum of
+        squares, so summed left to right as _dist sums it; at d = 0 it is 0.
         """
         sq, norms, within = self._sq, self._norms, self._within
-        np.subtract(half, ref, out=sq)
+        np.subtract(half, ref, out=self._diff)
         np.multiply(sq, sq, out=sq)
-        np.add.reduce(sq, axis=2, out=norms)
-        np.sqrt(norms, out=norms)
+        np.add.accumulate(sq, axis=2, out=sq)
+        np.sqrt(self._total, out=norms)
         np.less_equal(norms, limits, out=within)
         if np.count_nonzero(within) == within.size:
             return None
@@ -480,19 +481,11 @@ class SaProblem:
 
 
 def _dist(u: Sequence[float], v: Sequence[float]) -> float:
-    """Norm of u - v as the engines round it, inf past float range.
-
-    np.add.reduce adds fewer than 8 entries left to right, as here, and
-    more in a pairwise order, so those are left to it.
-    """
-    if len(u) < 8:
-        total = 0.0
-        for p, q in zip(u, v):
-            total += (p - q) * (p - q)
-        return math.sqrt(total)
-    with np.errstate(over="ignore"):
-        w = np.subtract(u, v)
-        return math.sqrt(np.add.reduce(w * w))
+    """Norm of u - v summed left to right, as the engines do; inf past float range."""
+    total = 0.0
+    for p, q in zip(u, v):
+        total += (p - q) * (p - q)
+    return math.sqrt(total)
 
 
 def mh_accept(log_r: float, u: float) -> bool:

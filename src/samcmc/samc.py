@@ -198,6 +198,8 @@ def _block_may_truncate(theta: np.ndarray, center: np.ndarray,
     difference and of the norm. That rounding scales with |theta|, whose
     entries stay below their largest value at the start plus the summed
     gains, as update entries are below 1; the sum is doubled for slack.
+    The pad of (m + 32) * 2**-50 covers the norm, a left-to-right sum of
+    m - 1 squares, whose relative error is at most (m - 2) * 2**-53.
     While no chain truncates, radii stay put and each chain stays within
     the summed step bounds of its start, so by induction none truncates.
     NaN or inf anywhere makes the test run.
@@ -205,8 +207,7 @@ def _block_may_truncate(theta: np.ndarray, center: np.ndarray,
     pad = 1.0 + (m + 32) * 2.0 ** -50
     theta_norm = 2.0 * np.sqrt(m - 1) * (np.abs(theta).max(initial=0.0) + gains.sum())
     bounds = (gains * row_norm + 2.0 ** -52 * theta_norm) * pad
-    dev = theta - center
-    dev = np.sqrt(np.add.reduce(dev * dev, axis=1))
+    dev = np.linalg.norm(theta - center, axis=1)
     return not (np.all(bounds < thresholds)
                 and np.all((dev + bounds.sum()) * pad < radius))
 
@@ -307,9 +308,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             # where the held draws run out
             steps = min(fold, length - c, lock.stride - k % lock.stride,
                         DRAW_ROWS - c % DRAW_ROWS)
-            # the bound costs as much as one to three steps' tests (B = 400
-            # to 20 on chain10), so blocks this short skip it and run the test
-            test = steps < 3 or _block_may_truncate(
+            test = _block_may_truncate(
                 free_rows[0], center, lock.radius, gains[c:c + steps],
                 thresholds[c:c + steps], model.row_norm, m)
             if test:

@@ -470,6 +470,31 @@ def test_cli_oracle_prints_exact_constants(tmp_path, capsys):
     assert "Gamma:" in out
 
 
+@pytest.mark.parametrize("shift", [800.0, -900.0])
+def test_oracle_ignores_a_constant_added_to_log_psi(tmp_path, capsys, shift):
+    # theta*, F, Q and Gamma see only the ratios of psi; shifted this far,
+    # psi itself overflows or underflows, while the engine runs as before
+    def oracle(chain):
+        nc = samcmc.noise_covariance(chain, THETA_STAR)
+        dump_chain_file(chain, tmp_path / "chain.txt")
+        p = write_config(tmp_path, "mode: samc\nk_max: 2000\nreplications: 3\n"
+                                   "chain_file: chain.txt\n")
+        assert main(["oracle", str(p)]) == 0
+        report = run_replications(load_config(p))
+        return nc, capsys.readouterr().out.splitlines(), report
+
+    base = chain10()
+    nc, out, report = oracle(dataclasses.replace(base, log_psi=base.log_psi + shift))
+    ref_nc, ref_out, ref_report = oracle(base)
+    for got, ref in [(nc.q_matrix, ref_nc.q_matrix), (nc.gamma, ref_nc.gamma),
+                     (report.theta_star, ref_report.theta_star),
+                     (report.oracle_gamma, ref_report.oracle_gamma)]:
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0)
+    # the CLI prints 12 significant digits; past omega, every line agrees
+    assert out[0] == "omega:      " + ("[inf, inf, inf]" if shift > 0 else "[0, 0, 0]")
+    assert out[1:] == ref_out[1:]
+
+
 def test_cli_run_samc_writes_artifacts(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "runout"))
     p = write_config(tmp_path, "mode: samc\nk_max: 2000\nseed: 2\n")
@@ -606,9 +631,14 @@ def test_cli_reports_malformed_chain_file(tmp_path, capsys, command, mode):
 
 
 @pytest.mark.parametrize("command", ["oracle", "efficiency"])
-def test_cli_reports_reducible_chain(tmp_path, capsys, command):
+def test_cli_reports_reducible_chain(tmp_path, capsys, monkeypatch, command):
     # two blocks of two states that no proposal connects: the MH kernel is
-    # reducible, so the oracle has no stationary law to offer
+    # reducible, so the oracle has no stationary law to offer, and
+    # efficiency says so before it runs any chain
+    def run_samc_batch(*args, **kwargs):
+        pytest.fail("efficiency ran the chains before the oracle checked them")
+
+    monkeypatch.setattr(samcmc.harness, "run_samc_batch", run_samc_batch)
     block = np.full((2, 2), 0.5)
     proposal = np.block([[block, np.zeros((2, 2))], [np.zeros((2, 2)), block]])
     chain = FiniteChainSpec(n_states=4, log_psi=np.zeros(4),

@@ -139,7 +139,7 @@ def test_ladder_geometry():
 def test_ladder_radius_saturates_past_float_range():
     # many threshold-driven truncations can push sigma past the largest
     # representable power; the ball must become everything, not an error,
-    # and the norm saturates to inf alike, on both of its paths
+    # and the norm saturates to inf alike
     ladder = TruncationLadder(center=np.zeros(2), r0=0.5, growth=10.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -160,7 +160,8 @@ def test_norm_matches_the_engines_rule(d):
     # _dist must give the bits of both norms of the lockstep engines'
     # truncation test: a chain passes at a limit equal to _dist and fails
     # one ulp below it. Numbers spread over 16 orders of magnitude make the
-    # order of the sum show: numpy sums 8 entries or more pairwise
+    # order of the sum show: both sum left to right, where numpy's reduce
+    # sums 8 entries or more pairwise
     rng = np.random.default_rng(d)
     u, v = (rng.standard_normal((400, d)) * 10.0 ** rng.integers(-8, 8, (400, d))
             for _ in range(2))
@@ -174,7 +175,9 @@ def test_norm_matches_the_engines_rule(d):
         w = (u - v).tolist()
         left_to_right = [math.sqrt(functools.reduce(lambda t, x: t + x * x, row, 0.0))
                          for row in w]
-        assert left_to_right != got.tolist(), "the case must tell the two orders apart"
+        assert left_to_right == got.tolist()
+        pairwise = np.sqrt(np.add.reduce((u - v) ** 2, axis=1))
+        assert (pairwise != got).any(), "the case must tell the two orders apart"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -377,6 +380,7 @@ import test_samc, test_samle, test_sa_core
 model = SamcModel.from_chain(chain10())
 test_samc.test_batch_engine_golden_digests_tight_ladder(model)
 test_samc.test_batch_engine_golden_digest_wide_batch(model)
+test_samc.test_random_chain_golden_digest_eleven_components()
 test_samc.test_solo_run_golden_digest(model)
 test_samle.test_batch_engine_reflects_at_narrow_box_walls(load_gaussian_toy())
 test_sa_core.test_run_sa_golden_digests()

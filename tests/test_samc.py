@@ -146,6 +146,33 @@ def test_engine_rejects_nonreversible_proposal():
         SamcModel.from_chain(chain)
 
 
+def first_proposals(matrix, x0, n_chains):
+    """The state each of n_chains reaches in one step from x0.
+
+    On a flat target at m = 1 the engine is plain MH; every proposal used
+    below is symmetric, so it is always accepted and the final state is
+    the proposal that the engine drew from the matrix.
+    """
+    n = len(matrix)
+    model = SamcModel.from_chain(FiniteChainSpec(
+        n_states=n, log_psi=np.zeros(n), labels=np.ones(n, dtype=int),
+        proposal=matrix, pi=np.array([1.0])))
+    ladder = TruncationLadder(center=np.zeros(0), reinit_state=x0)
+    traces = run_samc_batch(model, GainSchedule(), ladder, 1, range(n_chains))
+    return [t.final_state for t in traces]
+
+
+def test_discrete_neighbor_uniform_off_diagonal():
+    matrix = np.full((10, 10), 1 / 9)
+    np.fill_diagonal(matrix, 0.0)
+    assert set(first_proposals(matrix, 3, 500)) == set(range(10)) - {3}
+
+
+def test_discrete_neighbor_never_draws_zero_mass_state():
+    matrix = [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0], [0.5, 0.0, 0.5]]
+    assert set(first_proposals(matrix, 0, 300)) == {0, 2}
+
+
 def test_run_m1_is_plain_mh(m1_model):
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
     trace = run_samc(m1_model, GainSchedule(), ladder, 500, seed=0)
@@ -262,6 +289,9 @@ GOLDEN_M1 = {
 # sha256 over the samc_digest of each of 128 chains on the r0 = 0.5 ladder
 GOLDEN_CHAIN10_WIDE = (
     "5e539d2a1c35d980f806ef6be334abab3f0b72cffcc3ba40fa4196c57bea4b78")
+# sha256 over the samc_digest of each of 3 chains with 11 free components
+GOLDEN_RANDOM_CHAIN_M12 = (
+    "aa15b83d9c4e39895204d8b6c496a026e98ab1521581794fc55e11ecc2b9fea1")
 GOLDEN_MOVE_BINDS = {
     31: "48d480d1f24af71ff334f7afacf57527172c951d395e92eb6fbac79a5ec9856d",
     32: "872b2b8d4522520db4b94c8b1ff71400a42541c6f7c47a33e3f790645c585ec1",
@@ -485,6 +515,20 @@ def test_random_chain_golden_digests_and_solo_runs():
         solo = run_samc(model, schedule, ladder(), k_max, seed,
                         snapshot_stride=700)
         assert samc_digest(solo) == samc_digest(member)
+
+
+def test_random_chain_golden_digest_eleven_components():
+    # theta has 11 components, more than the 7 below which numpy's reduce
+    # sums left to right too; r0 = 0.5 truncates every chain, and the
+    # stride 700 does not divide k
+    chain = random_chain(12, 60, 12)
+    ladder = TruncationLadder(center=np.zeros(11), r0=0.5, growth=1.1,
+                              reinit_state=30)
+    traces = run_samc_batch(SamcModel.from_chain(chain), GainSchedule(), ladder,
+                            5000, [61, 62, 63], snapshot_stride=700)
+    assert all(t.sigma_events for t in traces)
+    digest = hashlib.sha256("".join(map(samc_digest, traces)).encode())
+    assert digest.hexdigest() == GOLDEN_RANDOM_CHAIN_M12
 
 
 @pytest.mark.parametrize("n", [1, 7, 400, 8192])

@@ -24,6 +24,7 @@ from samcmc import (
     TruncationLadder,
     gaussian_location_model,
     load_gaussian_toy,
+    reflect_into_box,
     run_sa,
     run_samle,
     run_samle_batch,
@@ -316,6 +317,33 @@ def test_batch_engine_golden_digests_with_truncations(toy_y):
     assert traces[0].sigma_events == [1, 2, 4, 846, 1946, 7782, 18887]
     assert traces[1].sigma_events == [1, 2, 4, 1367, 3123, 11632, 17326]
     assert {t.seed: trace_digest(t) for t in traces} == GOLDEN_TIGHT_LADDER
+
+
+def test_box_validation():
+    with pytest.raises(ValueError):
+        Box(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError):
+        Box(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    box = Box(np.zeros(2), np.ones(2))
+    assert box.contains(np.array([0.5, 1.0]))
+    assert not box.contains(np.array([0.5, 1.1]))
+
+
+def test_reflect_values():
+    box = Box(np.array([0.0]), np.array([1.0]))
+    assert abs(reflect_into_box(np.array([1.06]), box)[0] - 0.94) < 1e-15
+    assert abs(reflect_into_box(np.array([-0.2]), box)[0] - 0.2) < 1e-15
+    # several periods out still folds back inside
+    assert 0.0 <= reflect_into_box(np.array([7.3]), box)[0] <= 1.0
+
+
+def test_reflect_skips_interior_points():
+    # points already inside huge safeguard boxes pass through untouched,
+    # with no precision loss from the folding arithmetic
+    box = Box(np.full(3, -1e100), np.full(3, 1e100))
+    y = np.array([0.1234567890123456, -7.5, 42.0])
+    out = reflect_into_box(y, box)
+    np.testing.assert_array_equal(out, y)
 
 
 def test_batch_engine_reflects_at_narrow_box_walls(toy_y):
