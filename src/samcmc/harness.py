@@ -364,6 +364,8 @@ def run_replications(config: ExperimentConfig) -> EfficiencyReport:
         raise ConfigError(f"need R >= 2 for covariance estimates, got R={R}")
     start = time.perf_counter()
     chain, model, ladder = _samc_setup(config)
+    if chain.m < 2:
+        raise ConfigError("replication experiments need at least two subregions")
     # the oracle rejects a chain it cannot analyse before any chain runs
     tstar = theta_star(_scaled_omega(chain), chain.pi)
     gamma = noise_covariance(chain, tstar).gamma

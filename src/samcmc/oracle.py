@@ -320,7 +320,7 @@ def poisson_solve(p: np.ndarray, h_table: np.ndarray, h: np.ndarray,
     h = np.asarray(h, dtype=float)
     f = np.asarray(f, dtype=float)
     n = p.shape[0]
-    consistency = np.abs(f @ h_table - h).max()
+    consistency = np.abs(f @ h_table - h).max(initial=0.0)
     if consistency > 1e-10:
         raise ValueError(
             f"h inconsistent with (H_table, f): max deviation {consistency:.3g}")
@@ -333,7 +333,7 @@ def poisson_solve(p: np.ndarray, h_table: np.ndarray, h: np.ndarray,
             f"Poisson system singular beyond pinning "
             f"(condition estimate {np.linalg.cond(a):.3g})") from exc
     u -= f @ u                       # exact pin, removes roundoff drift
-    residual = np.abs(u - p @ u - rhs).max()
+    residual = np.abs(u - p @ u - rhs).max(initial=0.0)
     if residual > 1e-10:
         raise RuntimeError(
             f"Poisson residual {residual:.3g} exceeds 1e-10 "

@@ -361,8 +361,8 @@ class Lockstep:
     """
 
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
-                 k_max: int, seeds: Sequence[int], d: int,
-                 snapshot_stride: int, store_thetas: bool):
+                 k_max: int, seeds: Sequence[int], snapshot_stride: int,
+                 store_thetas: bool):
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         if snapshot_stride < 1:
@@ -370,7 +370,7 @@ class Lockstep:
         if len(seeds) < 1:
             raise ValueError("seeds must hold at least one seed")
         self.schedule, self.k_max, self.seeds = schedule, k_max, seeds
-        self.ladder, self.d = ladder, d
+        self.ladder, self.d = ladder, ladder.center.size
         self.stride = snapshot_stride
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
@@ -378,10 +378,10 @@ class Lockstep:
         self.radius = ladder.radius_at(self.sig)
         self.events: list[list[int]] = [[] for _ in range(B)]
         self.ksum: KahanSum | None = None   # as wide as the folded rows
-        self.thetas = np.empty((B, k_max, d)) if store_thetas else None
+        self.thetas = np.empty((B, k_max, self.d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-        self._sq = np.zeros((2, B, max(d, 1)))
-        self._diff, self._total = self._sq[:, :, :d], self._sq[:, :, -1]
+        self._sq = np.zeros((2, B, max(self.d, 1)))
+        self._diff, self._total = self._sq[:, :, :self.d], self._sq[:, :, -1]
         self._norms = np.empty((2, B))
         self._within = np.empty((2, B), dtype=bool)
 
@@ -515,8 +515,7 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     floats: the same norms and ball radii, and Lockstep's bookkeeping,
     with blocks of iterates folded in at every snapshot.
     """
-    lock = Lockstep(schedule, ladder, k_max, [seed], ladder.center.size,
-                    snapshot_stride, store_thetas=True)
+    lock = Lockstep(schedule, ladder, k_max, [seed], snapshot_stride, store_thetas=True)
     sample_step, h_noisy, labels = problem.sample_step, problem.h_noisy, problem.labels
     rng, radius = lock.rngs[0], float(lock.radius[0])
     center, reinit = ladder.center.tolist(), ladder.reinit_state

@@ -50,7 +50,7 @@ FOLD_CELLS = 16384
 
 @dataclass(frozen=True)
 class SamcModel:
-    """A finite chain and the engine's tables for it, built once.
+    """A finite chain and the engine's tables for it, built by from_chain.
 
     cdf holds the proposal's row cdfs. ratio_table holds the log MH ratio
     of the unweighted target over ordered state pairs; entries for pairs
@@ -60,13 +60,15 @@ class SamcModel:
     """
 
     chain: FiniteChainSpec
-    cdf: np.ndarray = field(init=False, repr=False)
-    ratio_table: np.ndarray = field(init=False, repr=False)
-    steps: np.ndarray = field(init=False, repr=False)
-    row_norm: float = field(init=False)
+    cdf: np.ndarray = field(repr=False)
+    ratio_table: np.ndarray = field(repr=False)
+    steps: np.ndarray = field(repr=False)
+    row_norm: float
+    m: int
 
-    def __post_init__(self):
-        q, log_psi, m = self.chain.proposal, self.chain.log_psi, self.chain.m
+    @classmethod
+    def from_chain(cls, chain: FiniteChainSpec) -> "SamcModel":
+        q, log_psi, m = chain.proposal, chain.log_psi, chain.m
         bad = (q > 0) & (q.T == 0)
         if bad.any():
             x_bad, y_bad = map(int, np.argwhere(bad)[0])
@@ -80,25 +82,14 @@ class SamcModel:
         with np.errstate(invalid="ignore"):
             ratio_table = (log_psi[None, :] - log_psi[:, None] + log_q.T) - log_q
         # row j: the indicator of label j+1 less pi, over all m components
-        full = np.eye(m) - self.chain.pi
+        full = np.eye(m) - chain.pi
         assert np.abs(full.sum(axis=1)).max() < 1e-12
         assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
         steps = full.copy()
         steps[:, -1] = 0.0
         free = steps[:, : m - 1]
-        object.__setattr__(self, "cdf", cdf)
-        object.__setattr__(self, "ratio_table", ratio_table)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "row_norm",
-                           float(np.sqrt((free * free).sum(axis=1)).max()))
-
-    @classmethod
-    def from_chain(cls, chain: FiniteChainSpec) -> "SamcModel":
-        return cls(chain)
-
-    @property
-    def m(self) -> int:
-        return self.chain.m
+        return cls(chain, cdf, ratio_table, steps,
+                   float(np.sqrt((free * free).sum(axis=1)).max()), m)
 
 
 def omega_hat(theta_bar, pi: np.ndarray) -> np.ndarray:
@@ -237,12 +228,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     passes both its move and its ball test there.
     """
     m, n = model.m, model.chain.n_states
-    lock = Lockstep(schedule, ladder, k_max, seeds, m - 1, snapshot_stride,
-                    store_thetas)
+    x0 = _initial_state(model, ladder)
+    lock = Lockstep(schedule, ladder, k_max, seeds, snapshot_stride, store_thetas)
     cdf, ratio_table, steps_ext = model.cdf, model.ratio_table, model.steps
 
     center = ladder.center
-    x0 = _initial_state(model, ladder)
     label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
     reinit_ext = np.append(center, 0.0)

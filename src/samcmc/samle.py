@@ -294,8 +294,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     proposal step that overflows a block's offsets a ValueError naming the
     step and the block's first iteration, as in samle_problem.
     """
-    lock = Lockstep(schedule, ladder, k_max, seeds, ladder.center.size,
-                    snapshot_stride, store_thetas)
+    lock = Lockstep(schedule, ladder, k_max, seeds, snapshot_stride, store_thetas)
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     x0 = _reset_point(ladder)

@@ -153,6 +153,12 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert config.output_dir == tmp_path / "out"
 
 
+def test_integral_float_counts_as_an_integer(tmp_path):
+    config = load_config(write_config(tmp_path, "mode: samc\nk_max: 2000.0\n"))
+    assert config.k_max == 2000 and type(config.k_max) is int
+    assert config.k0 == 200
+
+
 def test_invalid_schedule_names_first_failing_clause(tmp_path):
     p = write_config(tmp_path, """\
         mode: samc
@@ -437,6 +443,14 @@ def test_write_outputs_rejects_unknown_payload(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_write_trace_rejects_a_trace_without_snapshots(tmp_path):
+    trace, _ = run_single(load_config(write_config(
+        tmp_path, "mode: samc\nk_max: 10\n")))
+    with pytest.raises(ValueError, match="trace has no snapshots to write"):
+        samcmc.write_trace(dataclasses.replace(trace, snapshots=[]), tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
@@ -654,6 +668,30 @@ def test_cli_reports_reducible_chain(tmp_path, capsys, monkeypatch, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_on_one_subregion(tmp_path, capsys, monkeypatch):
+    # chain10 as one subregion: run-samc runs it as plain MH, the oracle
+    # reports an empty theta*, and efficiency has no covariance to compare
+    def run_samc_batch(*args, **kwargs):
+        pytest.fail("efficiency ran the chains of a one-subregion chain")
+
+    monkeypatch.setattr(samcmc.harness, "run_samc_batch", run_samc_batch)
+    base = chain10()
+    dump_chain_file(dataclasses.replace(base, labels=np.ones(base.n_states, dtype=int),
+                                        pi=np.array([1.0])), tmp_path / "chain.txt")
+    p = write_config(tmp_path, "mode: samc\nk_max: 200\nreplications: 2\n"
+                               f"chain_file: chain.txt\noutput_dir: {tmp_path / 'out'}\n")
+    assert main(["oracle", str(p)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("omega:      [55]\ntheta_star: []\nh(0):       []\n"
+                            "F(theta_star):\n\nQ(theta_star):\n\nGamma:\n\n")
+    assert captured.err == ""
+    assert main(["efficiency", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: replication experiments need at least two subregions\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, mode, message", [
     ("run-samc", "samle", "config mode is 'samle', expected 'samc'"),
     ("run-samle", "samc", "config mode is 'samc', expected 'samle'"),
@@ -671,6 +709,18 @@ def test_cli_rejects_config_of_another_mode(tmp_path, capsys, command, mode, mes
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_samle_reads_a_commented_data_file(tmp_path, capsys):
+    (tmp_path / "data.txt").write_text(
+        "# observations, one per line\n0.5\n\n1.5  # a trailing comment\n"
+        "# between the numbers\n2.25\n")
+    p = write_config(tmp_path, "mode: samle\nk_max: 200\ndata_file: data.txt\n"
+                               f"output_dir: {tmp_path / 'out'}\n")
+    assert main(["run-samle", str(p)]) == 0
+    summary = json.loads((tmp_path / "out" / "summary_samle_0.json").read_text())
+    assert summary["y_bar"] == np.mean([0.5, 1.5, 2.25])
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("text, message", [

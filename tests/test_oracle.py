@@ -6,8 +6,10 @@ pi the root is theta* = (log(6/34), log(15/34)) and the zero-theta region
 probabilities are (6, 15, 34)/55.
 """
 
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -355,6 +357,15 @@ def test_noise_covariance_properties(chain):
         np.testing.assert_allclose(nc.gamma, nc.gamma.T, atol=1e-12)
 
 
+def test_noise_covariance_of_one_subregion_is_empty(chain):
+    # at m = 1 theta has no free component, so Q and Gamma are 0 x 0; the
+    # engine runs such a chain as plain MH, and the oracle must not fail on it
+    one = dataclasses.replace(chain, labels=np.ones(chain.n_states, dtype=int),
+                              pi=np.array([1.0]))
+    nc = noise_covariance(one, np.zeros(0))
+    assert nc.q_matrix.shape == nc.gamma.shape == (0, 0)
+
+
 def test_q_matches_autocovariance_series(chain):
     # independent route: the limiting covariance of averaged updates is the
     # stationary autocovariance series of the centered indicators
@@ -433,6 +444,18 @@ def test_load_chain_file_rejects_ragged_proposal_row(tmp_path, chain):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="ragged.txt: proposal rows must hold 10"):
         load_chain_file(path)
+    # the other shapes a file can get wrong, each named with the file
+    for text, message in [
+        ("", "empty chain file"),
+        ("# a comment\n\n", "empty chain file"),
+        ("2\n0 0\n1 2\n0.5 0.5\n1 0\n0 1\n", "line 1 must be 'N m'"),
+        ("2 2\n0 0\n1 2\n0.5 0.3 0.2\n1 0\n0 1\n", "expected 2 probabilities on line 4"),
+        ("2 2\n0 0\n1 2\n0.5 0.5\n1 0 0\n0 1 0\n",
+         "proposal rows must hold 2 numbers each, found 3"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"ragged.txt: {message}")):
+            load_chain_file(path)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -455,6 +478,18 @@ def spec(labels=(1, 2), proposal=((0.5, 0.5), (0.5, 0.5)), pi=(0.5, 0.5)):
     n = len(labels)
     return FiniteChainSpec(n_states=n, log_psi=np.zeros(n), labels=np.array(labels),
                            proposal=np.array(proposal), pi=np.array(pi))
+
+
+def test_spec_rejects_per_state_arrays_of_another_length():
+    def make(log_psi, labels):
+        return FiniteChainSpec(n_states=2, log_psi=log_psi, labels=np.array(labels),
+                               proposal=np.full((2, 2), 0.5), pi=np.array([0.5, 0.5]))
+
+    make(np.zeros(2), [1, 2])
+    with pytest.raises(ValueError, match="log_psi length must equal n_states"):
+        make(np.zeros(3), [1, 2])
+    with pytest.raises(ValueError, match="labels length must equal n_states"):
+        make(np.zeros(2), [1, 2, 2])
 
 
 def test_spec_rejects_empty_subregion():

@@ -4,6 +4,7 @@ import functools
 import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -26,7 +27,9 @@ from samcmc import (
     gaussian_location_model,
     load_gaussian_toy,
     run_sa,
+    run_samc,
     run_samc_batch,
+    run_samle,
     run_samle_batch,
     threshold_at,
     trajectory_average,
@@ -151,7 +154,7 @@ def test_ladder_radius_saturates_past_float_range():
 
 def truncation_test(d, half, ref, limits):
     lock = Lockstep(GainSchedule(), TruncationLadder(center=np.zeros(d)), 1,
-                    range(len(half)), d, 1, False)
+                    range(len(half)), 1, False)
     return lock.outside(half, ref, limits)
 
 
@@ -429,11 +432,11 @@ def run_samc_batch_with(stride, seeds=(0, 1)):
                    10, list(seeds), snapshot_stride=stride)
 
 
-def run_samle_batch_with(stride, seeds=(0, 1)):
+def run_samle_batch_with(stride, seeds=(0, 1), sweeps=1):
     y = load_gaussian_toy()
     run_samle_batch(gaussian_location_model(y), GainSchedule(),
                     TruncationLadder(center=np.zeros(1), reinit_state=y),
-                    10, list(seeds), snapshot_stride=stride)
+                    10, list(seeds), snapshot_stride=stride, sweeps=sweeps)
 
 
 @pytest.mark.parametrize("engine", [run_sa_with, run_samc_batch_with,
@@ -449,6 +452,35 @@ def test_engines_reject_snapshot_stride_below_one(engine, stride):
 def test_lockstep_engines_reject_an_empty_seed_list(engine):
     with pytest.raises(ValueError, match="seeds must hold at least one seed"):
         engine(1, seeds=[])
+
+
+@pytest.mark.parametrize("engine, seeds", [(run_samc, 0), (run_samc_batch, [0, 1])],
+                         ids=["solo", "batch"])
+@pytest.mark.parametrize("center, state, message", [
+    (np.zeros(3), 0, "ladder center must have shape (2,)"),
+    (np.zeros(2), None, "ladder.reinit_state must hold the initial state index"),
+    (np.zeros(2), 10, "initial state 10 outside 0..9"),
+    (np.zeros(2), -1, "initial state -1 outside 0..9"),
+], ids=["center-shape", "no-state", "state-above", "state-below"])
+def test_samc_engines_check_where_they_start(engine, seeds, center, state, message):
+    ladder = TruncationLadder(center=center, reinit_state=state)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        engine(SamcModel.from_chain(chain10()), GainSchedule(), ladder, 10, seeds)
+
+
+@pytest.mark.parametrize("engine, seeds", [(run_samle, 0), (run_samle_batch, [0, 1])],
+                         ids=["solo", "batch"])
+def test_samle_engines_need_the_initial_latent_data(engine, seeds):
+    ladder = TruncationLadder(center=np.zeros(1))
+    with pytest.raises(ValueError, match="reinit_state must hold the initial latent data"):
+        engine(gaussian_location_model(load_gaussian_toy()), GainSchedule(), ladder,
+               10, seeds)
+
+
+def test_samle_batch_rejects_zero_sweeps():
+    run_samle_batch_with(1, sweeps=1)
+    with pytest.raises(ValueError, match="sweeps must be >= 1"):
+        run_samle_batch_with(1, sweeps=0)
 
 
 def make_trace(thetas, snapshot_at=()):
