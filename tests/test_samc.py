@@ -531,6 +531,32 @@ def test_random_chain_golden_digest_eleven_components():
     assert digest.hexdigest() == GOLDEN_RANDOM_CHAIN_M12
 
 
+@pytest.mark.parametrize("fold_rows, draw_rows",
+                         [(1, 512), (5, 512), (64, 3), (64, 64), (5, 7)])
+def test_block_ends_change_no_bit(monkeypatch, fold_rows, draw_rows):
+    # fold and draw blocks end where FOLD_ROWS and DRAW_ROWS say; visits
+    # are read off at a fold block's end and the update rows scaled per
+    # fold block, so no block size may move a bit. Both ladders truncate
+    ten, rand = chain10(), random_chain()
+    cases = [
+        (ten, TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0),
+         3000, [3, 4, 5]),
+        (rand, TruncationLadder(center=np.zeros(rand.m - 1), r0=2.0, growth=1.1,
+                                reinit_state=5), 12_000, [21, 22, 23]),
+    ]
+
+    def run_all():
+        return [digests(run_samc_batch(SamcModel.from_chain(chain), GainSchedule(),
+                                       ladder, k_max, seeds, snapshot_stride=700,
+                                       store_thetas=True))
+                for chain, ladder, k_max, seeds in cases]
+
+    ref = run_all()
+    monkeypatch.setattr(samc, "FOLD_ROWS", fold_rows)
+    monkeypatch.setattr(samc, "DRAW_ROWS", draw_rows)
+    assert run_all() == ref
+
+
 @pytest.mark.parametrize("n", [1, 7, 400, 8192])
 def test_random_spends_one_output_per_double(n):
     # run_samc_batch jumps each chain's PCG64 from a block's proposal
@@ -546,11 +572,17 @@ def test_random_spends_one_output_per_double(n):
     assert drawn.bit_generator.state == start, where
 
 
-def test_batch_engine_holds_a_few_hundred_steps_of_draws(model):
-    # a whole block of draws would take 2 * CHUNK * B doubles, 16 MiB here
+@pytest.mark.parametrize("make_chain", [chain10, lambda: random_chain(7, 300, 8)],
+                         ids=["chain10", "N300-m8"])
+def test_batch_engine_holds_a_few_hundred_steps_of_draws(make_chain):
+    # a whole block of draws would take 2 * CHUNK * B doubles, 16 MiB here;
+    # at 300 states the peak stays flat: only the (B, N) compare buffers
+    # grow with N, not with the steps held
+    chain = make_chain()
+    model = SamcModel.from_chain(chain)
     B, k_max = 128, samc.CHUNK + 1
     whole_block = 2 * samc.CHUNK * B * 8
-    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    ladder = TruncationLadder(center=np.zeros(chain.m - 1), reinit_state=0)
     tracemalloc.start()
     try:
         run_samc_batch(model, GainSchedule(), ladder, k_max, list(range(B)),
