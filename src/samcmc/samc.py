@@ -83,7 +83,6 @@ class SamcModel:
             ratio_table = (log_psi[None, :] - log_psi[:, None] + log_q.T) - log_q
         # row j: the indicator of label j+1 less pi, over all m components
         full = np.eye(m) - chain.pi
-        assert np.abs(full.sum(axis=1)).max() < 1e-12
         assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
         steps = full.copy()
         steps[:, -1] = 0.0
@@ -214,18 +213,20 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     per block of CHUNK iterations, first its proposal uniforms and then its
     acceptance uniforms. A batch member therefore reproduces the same
     chain run solo, bit for bit. The engine holds DRAW_ROWS steps of draws
-    per chain at a time, chain-major, one contiguous row per chain, and
-    reads each step's uniforms as a column: each chain draws those steps'
-    proposal uniforms, jumps its PCG64 ahead to their acceptance uniforms,
-    draws them and jumps back. random spends one 64-bit output per double,
-    so the jumps change where and when a draw is made, not which draw a
-    step uses or where a chain's stream ends a block.
+    per chain at a time, chain-major, one contiguous row per chain: each
+    chain draws those steps' proposal uniforms, jumps its PCG64 ahead to
+    their acceptance uniforms, draws them and jumps back. random spends one
+    64-bit output per double, so the jumps change where and when a draw is
+    made, not which draw a step uses or where a chain's stream ends a block.
 
     Iterates are folded into the compensated running sum in short blocks
     that end at every snapshot, as contiguous extended rows whose pinned
-    component sums to exactly 0. The truncation test is skipped for a fold
-    block only when a bound padded for rounding shows that every chain
-    passes both its move and its ball test there.
+    component sums to exactly 0. Per fold block, the block's proposal
+    uniforms are copied step-major, each step's gain scales every update
+    row at once, and the visits are read off the theta gather's index at
+    the block's end. The truncation test is skipped for a fold block only
+    when a bound padded for rounding shows that every chain passes both its
+    move and its ball test there.
     """
     m, n = model.m, model.chain.n_states
     x0 = _initial_state(model, ladder)
@@ -238,7 +239,6 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     reinit_ext = np.append(center, 0.0)
 
     B = len(seeds)
-    rows = np.arange(B)
     # path[r] holds every chain's extended theta after the r-th step of a
     # fold block (row 0: before it); the pinned last column stays 0, so
     # one flat gather reads theta's extended component for any label
@@ -248,22 +248,23 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     path_flat = path.reshape(-1)
     ext_rows = list(path)
     free_rows = [row[:, : m - 1] for row in ext_rows]
-    row_base = (np.arange(fold + 1)[:, None] * B + rows) * m
-    visited = np.empty((fold, B), dtype=np.int64)  # label index after each step
-    count_base = rows * m
+    # idx[i] gathers step i's label pair from path[i] at offsets base[i];
+    # idx[i + 1, 0] less base[i + 1, 0, 0] is j + b*m for label j after step i
+    base = np.repeat((np.arange((fold + 1) * B) * m).reshape(-1, 1, B), 2, axis=1)
+    idx = np.empty_like(base)
 
-    xs = np.full(B, x0, dtype=np.int64)
-    ys = np.empty(B, dtype=np.int64)
-    # row 0: the current state's label index, row 1: the proposal's
-    labs = np.full((2, B), j0, dtype=np.int64)
-    j_cur, j_prop = labs
-    idx = np.empty((2, B), dtype=np.int64)
+    # rows: the state, its label index, the proposal's label index, the
+    # proposal; one copy moves the proposal's pair into the state's
+    st = np.empty((4, B), dtype=np.int64)
+    xs, j_cur, j_prop, ys = st
+    cur, labs, prop = st[:2], st[1:3], st[3:1:-1]
+    start = np.array([[x0], [j0]])
+    cur[:] = start
     th_pair = np.empty((2, B))
     th_x, th_y = th_pair
     cdf_rows = np.empty((B, n))
     above = np.empty((B, n), dtype=bool)
     accept = np.empty(B, dtype=bool)
-    step = np.empty((B, m))
     # the truncation test's ref row 0 is the iterate before the step: the
     # realized difference, not a*update, matches run_sa bit for bit; limits
     # holds b_k and each chain's radius per step of a tested fold block
@@ -273,10 +274,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     counts = np.zeros((B, m), dtype=np.int64)
 
     # DRAW_ROWS steps of a block's draws laid out chain-major, one row per
-    # chain, so each chain fills a contiguous run and each step reads its
-    # (B,) uniforms as column c % DRAW_ROWS
+    # chain, so each chain fills a contiguous run; a fold block copies its
+    # proposal uniforms step-major, so a step compares a contiguous column
     u_prop = np.empty((B, min(DRAW_ROWS, k_max)))
     u_acc = np.empty_like(u_prop)
+    u_col = np.empty((fold, B, 1))
 
     k = 0
     while k < k_max:
@@ -304,44 +306,46 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             if test:
                 limits[:steps, 0] = thresholds[c:c + steps, None]
                 limits[:steps, 1] = lock.radius
-            for i in range(steps):
-                k += 1
-                u_step = c % DRAW_ROWS
+            cols = slice(c % DRAW_ROWS, c % DRAW_ROWS + steps)
+            np.copyto(u_col[:steps, :, 0], u_prop[:, cols].T)
+            # each step's gain times every label's update row, the same
+            # doubles as the product formed per step
+            scaled = np.multiply.outer(gains[c:c + steps], steps_ext)
+            for i, u_p, u_a, rows_i, base_i, idx_i in zip(
+                    range(steps), u_col, u_acc[:, cols].T, scaled, base, idx):
                 # proposal draw by inverse cdf on the current state's row:
                 # the first entry above u is the count of entries <= u, as
                 # the row is nondecreasing and ends at 1 > u
                 cdf.take(xs, axis=0, out=cdf_rows, mode="clip")
-                np.greater(cdf_rows, u_prop[:, u_step, None], out=above)
+                np.greater(cdf_rows, u_p, out=above)
                 above.argmax(axis=1, out=ys)
                 log_r = ratio_table[xs, ys]
                 label_idx.take(ys, out=j_prop, mode="clip")
-                np.add(labs, row_base[i], out=idx)
-                path_flat.take(idx, out=th_pair, mode="clip")
+                np.add(labs, base_i, out=idx_i)
+                path_flat.take(idx_i, out=th_pair, mode="clip")
                 np.subtract(th_x, th_y, out=th_x)
                 np.add(log_r, th_x, out=log_r)
                 # u < 1, so exp(r) decides as exp(min(r, 0)) would
                 np.exp(log_r, out=log_r)
-                np.less(u_acc[:, u_step], log_r, out=accept)
-                np.copyto(xs, ys, where=accept)
-                np.copyto(j_cur, j_prop, where=accept)
+                np.less(u_a, log_r, out=accept)
+                np.copyto(cur, prop, where=accept)
 
-                steps_ext.take(j_cur, axis=0, out=step, mode="clip")
-                np.multiply(step, gains[c], out=step)
-                np.add(ext_rows[i], step, out=ext_rows[i + 1])
+                rows_i.take(j_cur, axis=0, out=ext_rows[i + 1], mode="clip")
+                np.add(ext_rows[i + 1], ext_rows[i], out=ext_rows[i + 1])
                 if test:
                     np.copyto(ref[0], free_rows[i])
                     reset = lock.outside(free_rows[i + 1], ref, limits[i])
                     if reset is not None:
                         np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
-                        np.copyto(xs, x0, where=reset)
-                        np.copyto(j_cur, j0, where=reset)
-                        lock.reset(reset, k)
+                        np.copyto(cur, start, where=reset)
+                        lock.reset(reset, k + i + 1)
                         limits[i + 1:steps, 1] = lock.radius
-                np.copyto(visited[i], j_cur)
-                c += 1
+            k += steps
+            c += steps
 
-            counts += np.bincount((visited[:steps] + count_base).ravel(),
-                                  minlength=B * m).reshape(B, m)
+            np.add(labs, base[steps], out=idx[steps])
+            after = idx[1:steps + 1, 0] - base[1:steps + 1, 0, :1]
+            counts += np.bincount(after.ravel(), minlength=B * m).reshape(B, m)
             lock.fold(path[1:steps + 1], k, counts)
             path[0] = path[steps]
 

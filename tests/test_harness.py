@@ -692,6 +692,21 @@ def test_cli_on_one_subregion(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_runs_samc_on_pi_at_the_sum_tolerance(tmp_path, capsys):
+    # sum(pi) - 1 is -1e-12, which the chain checks accept; the update rows
+    # 1[j] - pi then sum to just over 1e-12 in rounding, which is no error
+    pi = np.array([0.7121610698827809, 0.09458715952291719, 0.19325177059330187])
+    chain = dataclasses.replace(chain10(), pi=pi)
+    assert abs(pi.sum() - 1.0) <= 1e-12 < np.abs((np.eye(3) - pi).sum(axis=1)).max()
+    assert samcmc.SamcModel.from_chain(chain).m == 3
+    dump_chain_file(chain, tmp_path / "chain.txt")
+    p = write_config(tmp_path, "mode: samc\nk_max: 2000\nseed: 2\n"
+                               f"chain_file: chain.txt\noutput_dir: {tmp_path / 'out'}\n")
+    assert main(["run-samc", str(p)]) == 0
+    assert "seed 2: 2000 iterations" in capsys.readouterr().out
+    assert (tmp_path / "out" / "summary_samc_2.json").exists()
+
+
 @pytest.mark.parametrize("command, mode, message", [
     ("run-samc", "samle", "config mode is 'samle', expected 'samc'"),
     ("run-samle", "samc", "config mode is 'samc', expected 'samle'"),
