@@ -473,11 +473,14 @@ class SaProblem:
     sequence of floats. Both get theta as a list of floats, which they must
     not modify. If labels is given, labels[x] is the subregion index of
     sample point x, from 0 to max(labels), and run_sa counts the visits.
+    If h_norm_max is given, ||H(theta, x)|| never exceeds it, and run_sa
+    skips the truncation test where block_may_truncate allows.
     """
 
     sample_step: Callable[[list[float], Any, np.random.Generator], Any]
     h_noisy: Callable[[list[float], Any], Sequence[float]]
     labels: Sequence[int] | None = None
+    h_norm_max: float | None = None
 
 
 def _dist(u: Sequence[float], v: Sequence[float]) -> float:
@@ -486,6 +489,33 @@ def _dist(u: Sequence[float], v: Sequence[float]) -> float:
     for p, q in zip(u, v):
         total += (p - q) * (p - q)
     return math.sqrt(total)
+
+
+def block_may_truncate(theta: np.ndarray, center: np.ndarray,
+                       radius: float | np.ndarray, gains: np.ndarray,
+                       thresholds: np.ndarray, h_norm_max: float, d: int) -> bool:
+    """False when no chain can fail the truncation test within a block.
+
+    theta (B, d) holds each chain's iterate at the block's start, and
+    ||H|| <= h_norm_max at every step. Step j moves theta by a_j * H, so its
+    norm is at most a_j * h_norm_max, widened for the rounding of the half
+    step, of the difference and of the norm. That rounding scales with
+    |theta|, whose entries stay below their largest value at the start plus
+    the summed a_j * h_norm_max, as no entry of H exceeds its norm; the sum
+    is doubled for slack. The pad of (d + 33) * 2**-50 covers the norm, a
+    left-to-right sum of d squares, whose relative error is at most
+    (d - 1) * 2**-53. While no chain truncates, radii stay put and each
+    chain stays within the summed step bounds of its start, so by induction
+    none truncates, and every half-step is finite. NaN or inf anywhere
+    makes the test run.
+    """
+    pad = 1.0 + (d + 33) * 2.0 ** -50
+    theta_norm = 2.0 * np.sqrt(d) * (np.abs(theta).max(initial=0.0)
+                                     + gains.sum() * h_norm_max)
+    bounds = (gains * h_norm_max + 2.0 ** -52 * theta_norm) * pad
+    dev = np.linalg.norm(theta - center, axis=1)
+    return not (np.all(bounds < thresholds)
+                and np.all((dev + bounds.sum()) * pad < radius))
 
 
 def mh_accept(log_r: float, u: float) -> bool:
@@ -513,7 +543,9 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
     This is the lockstep engines' recursion for one chain, on Python
     floats: the same norms and ball radii, and Lockstep's bookkeeping,
-    with blocks of iterates folded in at every snapshot.
+    with blocks of iterates folded in at every snapshot. When the problem
+    declares h_norm_max, a block whose every step block_may_truncate shows
+    to pass takes its half-steps without the test.
     """
     lock = Lockstep(schedule, ladder, k_max, [seed], snapshot_stride, store_thetas=True)
     sample_step, h_noisy, labels = problem.sample_step, problem.h_noisy, problem.labels
@@ -525,19 +557,22 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     while k < k_max:
         length = min(BLOCK, k_max - k, snapshot_stride - k % snapshot_stride)
         gains, thresholds = lock.block_schedule(k, length)
+        skip = problem.h_norm_max is not None and not block_may_truncate(
+            np.array([theta]), ladder.center, radius, np.array(gains),
+            np.array(thresholds), problem.h_norm_max, lock.d)
         rows = []
         for a, b in zip(gains, thresholds):
             k += 1
             x = sample_step(theta, x, rng)
             half = [t + a * h for t, h in zip(theta, h_noisy(theta, x))]
-            move = _dist(half, theta)
-            # a finite move means a finite half-step
-            if not move < math.inf and not all(map(math.isfinite, half)):
-                raise NonFiniteIterateError(k, half)
             # accept the half-step iff it moved at most b_k and stayed in K_sigma
-            if move <= b and _dist(half, center) <= radius:
+            if skip or ((move := _dist(half, theta)) <= b
+                        and _dist(half, center) <= radius):
                 theta = half
             else:
+                # a finite move means a finite half-step
+                if not move < math.inf and not all(map(math.isfinite, half)):
+                    raise NonFiniteIterateError(k, half)
                 theta, x = center, reinit
                 lock.reset(np.ones(1, dtype=bool), k)
                 radius = float(lock.radius[0])

@@ -22,7 +22,7 @@ import numpy as np
 
 from .oracle import FiniteChainSpec
 from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
-                 mh_accept, run_sa)
+                 block_may_truncate, mh_accept, run_sa)
 
 __all__ = [
     "SamcModel",
@@ -162,7 +162,8 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
         return y if mh_accept(log_r, u_acc) else x
 
     return SaProblem(sample_step=sample_step,
-                     h_noisy=lambda theta, x: rows[labels[x]], labels=labels)
+                     h_noisy=lambda theta, x: rows[labels[x]], labels=labels,
+                     h_norm_max=model.row_norm)
 
 
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
@@ -175,31 +176,6 @@ def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
     ladder = replace(ladder, reinit_state=_initial_state(model, ladder))
     return run_sa(samc_problem(model, k_max), schedule, ladder, k_max, seed,
                   snapshot_stride=snapshot_stride)
-
-
-def _block_may_truncate(theta: np.ndarray, center: np.ndarray,
-                        radius: np.ndarray, gains: np.ndarray,
-                        thresholds: np.ndarray, row_norm: float, m: int) -> bool:
-    """False when no chain can fail the truncation test within a fold block.
-
-    theta holds each chain's iterate at the block's start. Step j moves
-    theta by a_j times one label's update row, so its norm is at most
-    a_j * row_norm, widened for the rounding of the half step, of the
-    difference and of the norm. That rounding scales with |theta|, whose
-    entries stay below their largest value at the start plus the summed
-    gains, as update entries are below 1; the sum is doubled for slack.
-    The pad of (m + 32) * 2**-50 covers the norm, a left-to-right sum of
-    m - 1 squares, whose relative error is at most (m - 2) * 2**-53.
-    While no chain truncates, radii stay put and each chain stays within
-    the summed step bounds of its start, so by induction none truncates.
-    NaN or inf anywhere makes the test run.
-    """
-    pad = 1.0 + (m + 32) * 2.0 ** -50
-    theta_norm = 2.0 * np.sqrt(m - 1) * (np.abs(theta).max(initial=0.0) + gains.sum())
-    bounds = (gains * row_norm + 2.0 ** -52 * theta_norm) * pad
-    dev = np.linalg.norm(theta - center, axis=1)
-    return not (np.all(bounds < thresholds)
-                and np.all((dev + bounds.sum()) * pad < radius))
 
 
 @np.errstate(over="ignore")
@@ -225,8 +201,8 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     uniforms are copied step-major, each step's gain scales every update
     row at once, and the visits are read off the theta gather's index at
     the block's end. The truncation test is skipped for a fold block only
-    when a bound padded for rounding shows that every chain passes both its
-    move and its ball test there.
+    when sa.block_may_truncate, the bound run_sa skips by, shows that every
+    chain passes both its move and its ball test there.
     """
     m, n = model.m, model.chain.n_states
     x0 = _initial_state(model, ladder)
@@ -300,9 +276,9 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             # where the held draws run out
             steps = min(fold, length - c, lock.stride - k % lock.stride,
                         DRAW_ROWS - c % DRAW_ROWS)
-            test = _block_may_truncate(
+            test = block_may_truncate(
                 free_rows[0], center, lock.radius, gains[c:c + steps],
-                thresholds[c:c + steps], model.row_norm, m)
+                thresholds[c:c + steps], model.row_norm, m - 1)
             if test:
                 limits[:steps, 0] = thresholds[c:c + steps, None]
                 limits[:steps, 1] = lock.radius

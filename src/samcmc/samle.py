@@ -205,18 +205,17 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
 
 @np.errstate(over="ignore")
 def _walls_out_of_reach(box: Box, xs: np.ndarray, x0: np.ndarray,
-                        offsets: np.ndarray) -> bool:
-    """True when no proposal in this block can leave the box.
+                        steps: int, largest: float) -> bool:
+    """True when no proposal in a block of steps MH steps can leave the box.
 
     Every latent state in the block starts at a current state or at the
-    reset point x0 and then moves by at most one offset per MH step, so
-    each proposal lies within that hull widened by the count of steps
-    times the largest offset. The bound is widened once more for the
-    rounding of that many additions; NaN or inf anywhere, or a reach past
-    float range, makes it fail.
+    reset point x0 and then moves by at most one offset, of size at most
+    largest, per MH step, so each proposal lies within that hull widened
+    by steps * largest. The bound is widened once more for the rounding
+    of that many additions; NaN or inf anywhere, or a reach past float
+    range, makes it fail.
     """
-    steps = offsets.shape[0] * offsets.shape[1]
-    reach = steps * max(offsets.max(), -offsets.min())
+    reach = steps * largest
     lo = np.minimum(xs.min(axis=0), x0) - reach
     hi = np.maximum(xs.max(axis=0), x0) + reach
     slack = steps * 2.0 ** -50 * np.maximum(np.abs(lo), np.abs(hi))
@@ -262,11 +261,13 @@ def _draw_block(rngs, z, u, step, k, box, xs, x0) -> bool:
             helper.join()
         if failed:
             raise failed[0]
-    if not np.isfinite(z).all():
+    # NaN and inf show in the extremes; no block-sized mask is made
+    lo, hi = z.min(), z.max()
+    if not -np.inf < lo <= hi < np.inf:
         raise ValueError(
             f"proposal step {step!r} overflows the proposal offsets of the "
             f"block from iteration {k + 1}")
-    return not _walls_out_of_reach(box, xs, x0, z)
+    return not _walls_out_of_reach(box, xs, x0, z.shape[0] * z.shape[1], max(hi, -lo))
 
 
 @np.errstate(over="ignore")

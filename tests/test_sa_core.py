@@ -1,5 +1,6 @@
 """Gain schedules, validator clauses, truncation, driver, and averaging."""
 
+import dataclasses
 import functools
 import importlib
 import math
@@ -36,7 +37,7 @@ from samcmc import (
     validate_schedule,
 )
 from samcmc.sa import ROW_LOOP_CELLS, Lockstep, _dist, mh_accept
-from test_samle import trace_digest
+from test_samle import assert_same_trace, trace_digest
 
 # trace_digest of run_sa on the noisy-mean problem below, once on the
 # default ladder and once on a tight one that truncates twice; computed
@@ -295,6 +296,30 @@ def test_run_sa_final_state_does_not_alias_the_reset_point():
     assert trace.sigma_events == [1, 2, 3, 4, 5]
     trace.final_state[:] = 42.0
     np.testing.assert_array_equal(ladder.reinit_state, np.zeros(2))
+
+
+# directions of norm 1.25 exactly (0.75**2 + 1.0**2 = 1.5625 in doubles)
+# and their negatives, so theta wanders without drift
+BOUNDED_STEPS = [(0.75, 1.0, 0.0), (0.0, 0.75, -1.0), (-1.0, 0.0, 0.75),
+                 (1.25, 0.0, 0.0), (0.0, 0.0, 1.25)]
+BOUNDED_STEPS += [tuple(-h for h in step) for step in BOUNDED_STEPS]
+
+
+@pytest.mark.parametrize("c1, c2, r0", [(2.0, 2.0, 1.0), (4.0, 10.0, 2.0)])
+def test_run_sa_bound_at_the_norm_of_every_step_changes_no_bit(c1, c2, r0):
+    # at c1 = c2 = 2 the move test fails at k = 1, as a_1 * 1.25 > b_1; in
+    # both the ball of radius r0 * 1.2**s truncates the walk now and then,
+    # also after 50-step blocks that skipped the test
+    problem = SaProblem(sample_step=lambda th, x, rng: int(rng.integers(10)),
+                        h_noisy=lambda th, x: BOUNDED_STEPS[x], h_norm_max=1.25)
+    ladder = TruncationLadder(center=np.zeros(3), r0=r0, growth=1.2, reinit_state=0)
+    schedule = GainSchedule(c1=c1, c2=c2)
+    for seed in range(3):
+        skipping = run_sa(problem, schedule, ladder, 5000, seed, snapshot_stride=50)
+        testing = run_sa(dataclasses.replace(problem, h_norm_max=None), schedule,
+                         ladder, 5000, seed, snapshot_stride=50)
+        assert skipping.sigma_events, f"seed {seed}, c1={c1:g}: no truncation"
+        assert_same_trace(testing, skipping, f"seed {seed}, bounded steps, c1={c1:g}")
 
 
 def test_mh_accept_decides_as_numpy_exp_on_an_array():

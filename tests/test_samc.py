@@ -1,5 +1,6 @@
 """Adaptive reweighting operations and the finite-state run engines."""
 
+import collections
 import hashlib
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from samcmc import (
     exact_omega,
     gain_at,
     omega_hat,
+    run_sa,
     run_samc,
     run_samc_batch,
     stationary_dist,
@@ -26,7 +28,7 @@ from samcmc import (
     transition_matrix,
     visit_freq,
 )
-from samcmc import samc
+from samcmc import sa, samc
 from samcmc.sa import ROW_LOOP_CELLS
 from test_samle import assert_same_trace, trace_digest
 
@@ -655,11 +657,11 @@ def test_truncation_test_runs_only_where_a_chain_may_fail(chain):
 
     def may_fail(first, theta=np.ones((2, 2)), radius=1e6):
         ks = range(first, first + 64)
-        return samc._block_may_truncate(
+        return sa.block_may_truncate(
             theta, np.zeros(2), np.full(2, radius),
             np.array([gain_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
             np.array([threshold_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
-            model.row_norm, 3)
+            model.row_norm, 2)
 
     assert may_fail(1) and may_fail(8193)
     assert not any(may_fail(k) for k in range(16_385, 20_000, 64))
@@ -670,3 +672,76 @@ def test_truncation_test_runs_only_where_a_chain_may_fail(chain):
         theta = np.ones((2, 2))
         theta[1, 0] = bad
         assert may_fail(16_385, theta)
+
+
+def move_binds_chain():
+    return replace(chain10(), pi=MOVE_BINDS_PI)
+
+
+# (chain, ladder r0, growth, start, schedule, k_max): chain10 at gain
+# constants up to c1 = 10, where steps to labels 1 and 2 truncate up to
+# k = 6,440; random chains from m = 1 (d = 0) to 12; the move-binds run
+SOLO_SKIP_CASES = {
+    **{f"chain10-r0={r0:g}-c1={c1:g}":
+       (chain10, r0, 10.0, 0, GainSchedule(c1=c1), 12_000)
+       for r0 in (10.0, 0.5) for c1 in (0.5, 1.0, 4.0, 10.0)},
+    **{f"random-m{m}": (lambda m=m: random_chain(40 + m, 60, m), 2.0, 1.1, 5,
+                        GainSchedule(), 6_000) for m in (1, 2, 8, 12)},
+    "move-binds": (move_binds_chain, 1e6, 10.0, 9, MOVE_BINDS_SCHEDULE, 20_000),
+}
+
+
+@pytest.mark.parametrize("case", SOLO_SKIP_CASES)
+def test_solo_skip_changes_no_bit(case):
+    """A declared bound on ||H|| only skips truncation tests that pass."""
+    make_chain, r0, growth, x0, schedule, k_max = SOLO_SKIP_CASES[case]
+    chain = make_chain()
+    problem = samc.samc_problem(SamcModel.from_chain(chain), k_max)
+    ladder = TruncationLadder(center=np.zeros(chain.m - 1), r0=r0,
+                              growth=growth, reinit_state=x0)
+    for seed in (3, 4):
+        skipping = run_sa(problem, schedule, ladder, k_max, seed, snapshot_stride=700)
+        testing = run_sa(replace(problem, h_norm_max=None), schedule, ladder,
+                         k_max, seed, snapshot_stride=700)
+        assert_same_trace(testing, skipping,
+                          f"seed {seed}, chain {case}, c1={schedule.c1:g}")
+
+
+def count_dist_calls(monkeypatch, problem, block):
+    """Patch sa._dist to count its calls per block of iterations."""
+    calls, k = collections.Counter(), 0
+    dist, step = sa._dist, problem.sample_step
+
+    def counting_dist(u, v):
+        calls[(k - 1) // block] += 1
+        return dist(u, v)
+
+    def counting_step(theta, x, rng):
+        nonlocal k
+        k += 1
+        return step(theta, x, rng)
+
+    monkeypatch.setattr(sa, "_dist", counting_dist)
+    return calls, replace(problem, sample_step=counting_step)
+
+
+def test_solo_run_skips_the_test_only_where_no_step_may_fail(monkeypatch):
+    # b_k/a_k passes the longest update row's norm, 1.0957, near k = 9,870:
+    # of the 1000-step blocks, those from k = 10,000 on skip the test
+    model = SamcModel.from_chain(move_binds_chain())
+    problem = samc.samc_problem(model, 20_000)
+    calls, problem = count_dist_calls(monkeypatch, problem, 1000)
+    ladder = TruncationLadder(center=np.zeros(2), r0=1e6, reinit_state=9)
+    trace = run_sa(problem, MOVE_BINDS_SCHEDULE, ladder, 20_000, 31)
+    assert trace.sigma_events
+    assert sorted(calls) == list(range(10))
+    assert all(calls[j] >= 1000 for j in range(10))
+
+
+def test_solo_run_at_m1_skips_every_test(monkeypatch, m1_model):
+    # no free component: the bound holds at once and no norm is taken;
+    # the suite's filter turns any numpy warning into an error
+    calls, problem = count_dist_calls(monkeypatch, samc.samc_problem(m1_model, 3000), 1)
+    ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
+    trace = run_sa(problem, GainSchedule(), ladder, 3000, 8)
+    assert not calls and trace.final_theta.shape == (0,)

@@ -29,7 +29,7 @@ from samcmc import (
     run_samle,
     run_samle_batch,
 )
-from samcmc import samle
+from samcmc import sa, samle
 
 YBAR = 0.7409467391596104
 
@@ -267,6 +267,18 @@ def test_batch_member_matches_solo_run(toy_y):
                          sweeps=2, proposal=RandomWalk(step=0.4))
         assert_same_trace(solo, member, f"seed {seed}")
     assert not np.array_equal(batch[0].thetas, batch[1].thetas)
+
+
+def test_solo_run_tests_every_half_step(toy_y, monkeypatch):
+    # the SA-MLE gradient has no bound, so run_sa takes both norms at
+    # every iteration that does not truncate
+    calls = []
+    dist = sa._dist
+    monkeypatch.setattr(sa, "_dist", lambda u, v: calls.append(1) or dist(u, v))
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    trace = run_samle(gaussian_location_model(toy_y), GainSchedule(c1=0.1), ladder,
+                      2000, seed=3, sweeps=2, proposal=RandomWalk(step=0.4))
+    assert trace.sigma_events == [] and len(calls) == 2 * 2000
 
 
 def test_single_observation_root_is_that_observation():
