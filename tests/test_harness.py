@@ -45,6 +45,17 @@ GOLDEN_CLI = {
     "samle": ("a1730e3cfe76a3cd914957d6148347f36634eea49785638b2ca5fdefb11706e0",
               "5f7eeeed1d22e2bd8f00bca2c06e316943f4f057489e927e3d4996c47a91d317"),
 }
+# sha256 of the stdout of `samcmc oracle configs/oracle_chain10.yaml`, and of
+# the efficiency report of REPORT_CONFIG with its timing set to null
+GOLDEN_ORACLE = "90ad4df0ca03788472daf23f3a86215a8094525b3b176324001c1d49e0655a81"
+GOLDEN_REPORT = "12b3f3e096f3290e4d0137042876d699222bdcde1025b555e54abd039dc362bb"
+REPORT_CONFIG = """\
+    mode: samc
+    schedule: {c1: 2.0}
+    k_max: 3000
+    replications: 30
+    seed: 5
+"""
 
 
 @pytest.fixture(autouse=True)
@@ -558,6 +569,26 @@ def test_cli_outputs_of_shipped_configs_are_pinned(mode, config, tmp_path,
     canon = json.dumps(summary, sort_keys=True).encode()
     assert (hashlib.sha256(trace).hexdigest(),
             hashlib.sha256(canon).hexdigest()) == GOLDEN_CLI[mode]
+
+
+def test_cli_oracle_output_is_pinned(capsys):
+    assert main(["oracle", str(CONFIGS / "oracle_chain10.yaml")]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE
+
+
+def test_cli_efficiency_report_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "eff"))
+    assert main(["efficiency", str(write_config(tmp_path, REPORT_CONFIG))]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "eff" / "efficiency_report.json").read_text()
+    report = json.loads(text)
+    # the layout is json's own at indent 2 with sorted keys
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert set(report["timing"]) == {"timestamp", "wall_time_s"}
+    report["timing"] = None
+    canon = json.dumps(report, indent=2, sort_keys=True).encode()
+    assert hashlib.sha256(canon).hexdigest() == GOLDEN_REPORT
 
 
 def test_cli_efficiency(tmp_path, capsys, monkeypatch):

@@ -667,6 +667,29 @@ def test_import_starts_no_thread():
     assert out.split() == ["1"]
 
 
+def test_one_chain_draws_start_no_thread(toy_y, monkeypatch):
+    # a solo run and a batch of one draw every block on the caller's thread
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a one-chain run started a thread")
+
+    model = gaussian_location_model(toy_y)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    run_samle(model, GainSchedule(c1=0.1), ladder, samle.CHUNK + 10, seed=0,
+              sweeps=2, proposal=RandomWalk(step=0.4))
+    thread_test_run(model, [0])
+
+
+def test_import_loads_no_executor_or_logging():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, samcmc; "
+            "print(*(m in sys.modules for m in ('concurrent.futures', 'logging')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_batch_bits_hold_under_frequent_thread_switches(toy_y):
     # B = 7 splits the draws 4 to 3; a 1 us switch interval interleaves
     # the two fills as finely as the interpreter allows
