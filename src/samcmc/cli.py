@@ -39,8 +39,9 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_run(args, mode: str) -> int:
+def _cmd_run(args) -> int:
     config = load_config(args.config)
+    mode = args.command.removeprefix("run-")
     if config.mode != mode:
         raise ConfigError(f"config mode is {config.mode!r}, expected {mode!r}")
     trace, summary = run_single(config)
@@ -100,27 +101,21 @@ def main(argv=None) -> int:
         description="Adaptive MCMC with trajectory averaging: run, validate, "
                     "and check experiments against exact finite-chain answers.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("validate", "check the gain schedule conditions and exit"),
-        ("run-samc", "run one adaptive flat-histogram chain"),
-        ("run-samle", "run one missing-data maximum likelihood chain"),
-        ("oracle", "print exact quantities for the configured finite chain"),
-        ("efficiency", "replication study against the exact limit covariance"),
+    for name, handler, help_text in [
+        ("validate", _cmd_validate, "check the gain schedule conditions and exit"),
+        ("run-samc", _cmd_run, "run one adaptive flat-histogram chain"),
+        ("run-samle", _cmd_run, "run one missing-data maximum likelihood chain"),
+        ("oracle", _cmd_oracle, "print exact quantities for the configured finite chain"),
+        ("efficiency", _cmd_efficiency,
+         "replication study against the exact limit covariance"),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a YAML experiment config")
+        p.set_defaults(handler=handler)
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "run-samc":
-            return _cmd_run(args, "samc")
-        if args.command == "run-samle":
-            return _cmd_run(args, "samle")
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        return _cmd_efficiency(args)
+        return args.handler(args)
     except ScheduleValidationError as exc:
         # validate answers with the report; a run fails with it
         if args.command == "validate":

@@ -28,6 +28,7 @@ from .oracle import (
     chain10,
     load_chain_file,
     noise_covariance,
+    omega_hat,
     theta_star,
 )
 from .sa import (
@@ -38,7 +39,7 @@ from .sa import (
     trajectory_average,
     validate_schedule,
 )
-from .samc import SamcModel, omega_hat, run_samc, run_samc_batch, visit_freq
+from .samc import SamcModel, run_samc, run_samc_batch, visit_freq
 from .samle import RandomWalk, gaussian_location_model, load_gaussian_toy, run_samle
 
 __all__ = [
@@ -426,8 +427,8 @@ def write_outputs(obj, output_dir, *, summary: dict | None = None) -> list[Path]
         return [tpath, spath]
     if isinstance(obj, EfficiencyReport):
         rpath = output_dir / "efficiency_report.json"
-        rpath.write_text(json.dumps(_report_payload(obj), indent=2,
-                                    sort_keys=True) + "\n")
+        rpath.write_text(json.dumps(dataclasses.asdict(obj), default=np.ndarray.tolist,
+                                    indent=2, sort_keys=True) + "\n")
         return [rpath]
     raise TypeError(f"cannot write outputs for {type(obj).__name__}")
 
@@ -446,13 +447,3 @@ def write_trace(trace: RunTrace, path) -> Path:
     np.savetxt(path, rows, fmt=["%d"] + ["%.17g"] * (d + m) + ["%d"],
                delimiter=",", header=header, comments="")
     return path
-
-
-def _report_payload(report: EfficiencyReport) -> dict:
-    payload = {}
-    for f in dataclasses.fields(report):
-        value = getattr(report, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        payload[f.name] = value
-    return payload

@@ -32,6 +32,7 @@ __all__ = [
     "lyapunov",
     "mean_field",
     "noise_covariance",
+    "omega_hat",
     "poisson_solve",
     "stationary_dist",
     "theta_star",
@@ -215,6 +216,16 @@ def _region_ratios(theta: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return s / s.sum()
 
 
+def omega_hat(theta_bar, pi: np.ndarray) -> np.ndarray:
+    """Weight estimates from an averaged theta, summing to 1: theta_star's inverse."""
+    pi = np.asarray(pi, dtype=float)
+    theta_bar = np.asarray(theta_bar, dtype=float)
+    if theta_bar.shape != (pi.size - 1,):
+        raise ValueError(
+            f"theta_bar must have {pi.size - 1} components for {pi.size} subregions")
+    return _region_ratios(-theta_bar, pi)
+
+
 def mean_field(theta: np.ndarray, omega: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Expected update direction h(theta) under the theta-indexed stationary law."""
     p = _region_ratios(theta, omega)
@@ -301,10 +312,7 @@ def stationary_dist(p: np.ndarray) -> np.ndarray:
 
 def visit_indicator_table(chain: FiniteChainSpec) -> np.ndarray:
     """Update direction per state: H[x, i] = 1{label(x)=i+1} - pi_i, i < m-1."""
-    h = -np.tile(chain.pi[:-1], (chain.n_states, 1))
-    tracked = chain.labels0 < chain.m - 1
-    h[np.nonzero(tracked)[0], chain.labels0[tracked]] += 1.0
-    return h
+    return (np.eye(chain.m) - chain.pi)[chain.labels0, :-1]
 
 
 def poisson_solve(p: np.ndarray, h_table: np.ndarray, h: np.ndarray,

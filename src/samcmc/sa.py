@@ -229,14 +229,14 @@ class KahanSum:
     def add(self, v: np.ndarray) -> None:
         self.add_rows(np.asarray(v)[None])
 
-    def add_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Add rows[0], rows[1], ... in turn; returns the value after each.
+    def add_rows(self, rows: np.ndarray) -> None:
+        """Add rows[0], rows[1], ... in turn.
 
         Both running sums are sequential: rows of at least ROW_LOOP_CELLS
         entries are added one at a time, narrower ones with
         np.add.accumulate, which makes the same additions in the same
-        order. Either way the returned values and the state left behind
-        match one add per row bit for bit.
+        order. Either way the state left behind matches one add per row
+        bit for bit.
         """
         rows = np.ascontiguousarray(rows)
         n = len(rows)
@@ -245,23 +245,22 @@ class KahanSum:
             self._ge = np.empty((n,) + self.total.shape, dtype=bool)
         totals, comps = self._work[:, :n + 1]
         before, after, fix, ge = totals[:-1], totals[1:], comps[1:], self._ge[:n]
-        # the returned array, until then the larger-operand branch
-        out = np.empty((n,) + self.total.shape)
+        # the correction where the running total is the larger operand
+        big = np.empty((n,) + self.total.shape)
         totals[0], comps[0] = self.total, self._comp
         by_row = self.total.size >= ROW_LOOP_CELLS
         _running_sum(totals, rows, by_row)
         # each add's rounding error, computed from its larger operand
-        np.abs(before, out=out)
+        np.abs(before, out=big)
         np.abs(rows, out=fix)
-        np.greater_equal(out, fix, out=ge)
-        np.subtract(before, after, out=out)
-        np.add(out, rows, out=out)
+        np.greater_equal(big, fix, out=ge)
+        np.subtract(before, after, out=big)
+        np.add(big, rows, out=big)
         np.subtract(rows, after, out=fix)
         np.add(fix, before, out=fix)
-        np.copyto(fix, out, where=ge)
+        np.copyto(fix, big, where=ge)
         _running_sum(comps, fix, by_row)
         self.total, self._comp = totals[-1].copy(), comps[-1].copy()
-        return np.add(after, comps[1:], out=out)
 
     @property
     def value(self) -> np.ndarray:
@@ -431,16 +430,17 @@ class Lockstep:
         """
         if self.ksum is None:
             self.ksum = KahanSum(rows.shape[1:])
-        sums = self.ksum.add_rows(rows)
+        self.ksum.add_rows(rows)
         d = self.d
         if self.thetas is not None:
             self.thetas[:, k - len(rows):k] = rows[:, :, :d].transpose(1, 0, 2)
         if k % self.stride == 0 or k == self.k_max:
+            sums = self.ksum.value
             for b, snaps in enumerate(self.snaps):
                 snaps.append(Snapshot(
                     k=k, theta=rows[-1, b, :d].copy(),
                     pi_hat=None if counts is None else counts[b] / k,
-                    sigma=int(self.sig[b]), theta_sum=sums[-1, b, :d].copy()))
+                    sigma=int(self.sig[b]), theta_sum=sums[b, :d].copy()))
 
     def traces(self, theta: np.ndarray, states: Sequence,
                counts: np.ndarray | None = None) -> list[RunTrace]:

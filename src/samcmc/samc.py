@@ -26,7 +26,6 @@ from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
 
 __all__ = [
     "SamcModel",
-    "omega_hat",
     "run_samc",
     "run_samc_batch",
     "visit_freq",
@@ -81,31 +80,12 @@ class SamcModel:
         # the broadcast order matches the per-step arithmetic bit for bit
         with np.errstate(invalid="ignore"):
             ratio_table = (log_psi[None, :] - log_psi[:, None] + log_q.T) - log_q
-        # row j: the indicator of label j+1 less pi, over all m components
-        full = np.eye(m) - chain.pi
-        assert (full * full).sum(axis=1).max() <= 2.0 + 1e-12
-        steps = full.copy()
+        # row j: the indicator of label j+1 less pi, the pinned component 0
+        steps = np.eye(m) - chain.pi
         steps[:, -1] = 0.0
         free = steps[:, : m - 1]
         return cls(chain, cdf, ratio_table, steps,
                    float(np.sqrt((free * free).sum(axis=1)).max()), m)
-
-
-def omega_hat(theta_bar, pi: np.ndarray) -> np.ndarray:
-    """Subregion weight estimates from an averaged theta.
-
-    Computed as softmax(log pi + extended theta): normalization happens in
-    log space so huge theta components cannot overflow.
-    """
-    pi = np.asarray(pi, dtype=float)
-    theta_bar = np.asarray(theta_bar, dtype=float)
-    if theta_bar.shape != (pi.size - 1,):
-        raise ValueError(
-            f"theta_bar must have {pi.size - 1} components for {pi.size} subregions")
-    log_w = np.log(pi) + np.append(theta_bar, 0.0)
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    return w / w.sum()
 
 
 def visit_freq(trace: RunTrace) -> np.ndarray:

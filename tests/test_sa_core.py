@@ -609,9 +609,10 @@ def test_kahan_add_rows_matches_one_add_per_row():
     for row in values[:7]:
         blk.add(row)
     assert blk.value.tobytes() == expected[6].tobytes()
-    got = np.concatenate([blk.add_rows(values[7:300]),
-                          blk.add_rows(values[300:])])
-    assert got.tobytes() == expected[7:600].tobytes()
+    blk.add_rows(values[7:300])
+    assert blk.value.tobytes() == expected[299].tobytes()
+    blk.add_rows(values[300:])
+    assert blk.value.tobytes() == expected[599].tobytes()
     blk.add(values[0])
     assert blk.value.tobytes() == expected[600].tobytes()
 
@@ -619,8 +620,9 @@ def test_kahan_add_rows_matches_one_add_per_row():
 @pytest.mark.parametrize("layout", ["contiguous", "strided"])
 def test_kahan_add_rows_of_wide_rows_matches_one_add_per_row(layout):
     # rows of 100 x 3 entries take the row-by-row sums; blocks of changing
-    # length reuse and regrow the work buffers. From a nonzero state,
-    # through exact cancellations, bit for bit
+    # length reuse and regrow the work buffers, and one-row blocks give the
+    # value after every row. From a nonzero state, through exact
+    # cancellations, bit for bit
     rng = np.random.default_rng(8)
     values = rng.standard_normal((200, 100, 4)) * 10.0 ** rng.integers(
         -12, 12, (200, 100, 4))
@@ -630,14 +632,18 @@ def test_kahan_add_rows_of_wide_rows_matches_one_add_per_row(layout):
     assert rows[0].size >= ROW_LOOP_CELLS
     assert rows.flags.c_contiguous == (layout == "contiguous")
     start = rng.standard_normal((2, 100, 3))
-    blk = KahanSum((100, 3))
-    blk.add(start[0])
-    blk.add(start[1])
+    blk, one = KahanSum((100, 3)), KahanSum((100, 3))
+    for row in start:
+        blk.add(row)
+        one.add(row)
     expected = neumaier_per_row(np.concatenate((start, rows)))[2:]
     cuts = [0, 5, 69, 70, 200]
-    got = np.concatenate([blk.add_rows(rows[a:b]) for a, b in zip(cuts, cuts[1:])])
-    assert got.tobytes() == expected.tobytes()
-    assert blk.value.tobytes() == expected[-1].tobytes()
+    for a, b in zip(cuts, cuts[1:]):
+        blk.add_rows(rows[a:b])
+        assert blk.value.tobytes() == expected[b - 1].tobytes()
+    for i in range(len(rows)):
+        one.add_rows(rows[i:i + 1])
+        assert one.value.tobytes() == expected[i].tobytes()
 
 
 def test_snapshot_sums_match_prefix_means():
