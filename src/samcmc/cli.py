@@ -22,7 +22,8 @@ from .harness import (
 )
 from .oracle import (_scaled_omega, exact_omega, jacobian, mean_field,
                      noise_covariance, theta_star)
-from .sa import ScheduleValidationError, validate_schedule
+from .sa import NonFiniteIterateError, ScheduleValidationError, validate_schedule
+from .samle import NonFiniteGradientError
 
 
 def _fmt_vec(v) -> str:
@@ -123,6 +124,11 @@ def main(argv=None) -> int:
         else:
             print(f"{exc.report}\nerror: {exc}", file=sys.stderr)
         return 1
+    except (NonFiniteIterateError, NonFiniteGradientError) as exc:
+        # inputs that drive a run out of float range are at fault as a bad
+        # config is; the message's arrays may span lines, its error not
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         # a bad config, a missing or malformed input file, or a chain the
         # oracle cannot analyse: user errors, exit 2

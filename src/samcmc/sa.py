@@ -379,16 +379,19 @@ class Lockstep:
         self.ksum: KahanSum | None = None   # as wide as the folded rows
         self.thetas = np.empty((B, k_max, self.d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-        self._sq = np.zeros((2, B, max(self.d, 1)))
-        self._diff, self._total = self._sq[:, :, :self.d], self._sq[:, :, -1]
-        self._norms = np.empty((2, B))
-        self._within = np.empty((2, B), dtype=bool)
+        self._step_work = self._test_work((2, B))
 
     def block_schedule(self, k: int, length: int) -> tuple[list[float], list[float]]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
         js = range(k + 1, k + length + 1)
         return ([gain_at(self.schedule, j) for j in js],
                 [threshold_at(self.schedule, j) for j in js])
+
+    def _test_work(self, shape: tuple) -> tuple:
+        """Scratch of the truncation test for limits of the given shape."""
+        sq = np.zeros(shape + (max(self.d, 1),))
+        return (sq, sq[..., :self.d], sq[..., -1], np.empty(shape),
+                np.empty(shape, dtype=bool))
 
     def outside(self, half: np.ndarray, ref: np.ndarray,
                 limits: np.ndarray) -> np.ndarray | None:
@@ -399,16 +402,25 @@ class Lockstep:
         every chain passes both, else the mask of chains to reset; a NaN or
         inf half-step fails, as b_k is finite. Each norm is a running sum of
         squares, so summed left to right as _dist sums it; at d = 0 it is 0.
+
+        The block form tests n steps at once: ref (n, 2, B, d) and limits
+        (n, 2, B) carry a leading steps axis, half is (n, 1, B, d) so that
+        it meets both rows of ref, and the mask is (n, B). Its norms are
+        the per-step ones bit for bit, as every operation is elementwise
+        but the running sum, which runs along the last axis either way.
         """
-        sq, norms, within = self._sq, self._norms, self._within
-        np.subtract(half, ref, out=self._diff)
+        if ref.ndim == 3:
+            sq, diff, total, norms, within = self._step_work
+        else:
+            sq, diff, total, norms, within = self._test_work(limits.shape)
+        np.subtract(half, ref, out=diff)
         np.multiply(sq, sq, out=sq)
-        np.add.accumulate(sq, axis=2, out=sq)
-        np.sqrt(self._total, out=norms)
+        np.add.accumulate(sq, axis=-1, out=sq)
+        np.sqrt(total, out=norms)
         np.less_equal(norms, limits, out=within)
         if np.count_nonzero(within) == within.size:
             return None
-        return ~(within[0] & within[1])
+        return ~(within[..., 0, :] & within[..., 1, :])
 
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 CHUNK = 2048
+# most steps run_samle_batch takes before it tests their half-steps in
+# one pass; a block that fails the pass is replayed step by step
+BLOCK_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -102,7 +105,10 @@ class MissingDataModel:
     gradients and (rows,) log densities, row by row: a row's value may not
     depend on the other rows or on how many there are, since the engines
     stack rows of several chains or points into one call. The engines call
-    them only on the caller's thread.
+    them only on the caller's thread. They must be pure: run_samle_batch
+    may call them on rows of a block of steps that it then replays, rows
+    past a truncation that the replay resets, and drops what they return
+    or raise there.
     """
 
     grad_complete_loglik: Callable
@@ -186,6 +192,7 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
     return SaProblem(sample_step=sample_step, h_noisy=h_noisy)
 
 
+@np.errstate(over="ignore")
 def run_samle(model: MissingDataModel, schedule: GainSchedule,
               ladder: TruncationLadder, k_max: int, seed: int, *,
               proposal: RandomWalk | None = None, sweeps: int = 1,
@@ -195,7 +202,8 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
     sweeps > 1 applies that many MH refreshes to the latent data before
     each gradient step. This is run_sa on samle_problem, so a solo run is
     bit-identical to the matching batch member, at a fraction of its cost
-    per iteration.
+    per iteration. Overflow warnings are off, as in the batch: a
+    nonfinite gradient or half-step raises an error naming the iteration.
     """
     problem = samle_problem(model, k_max, proposal=proposal, sweeps=sweeps)
     ladder = replace(ladder, reinit_state=_reset_point(ladder))
@@ -288,12 +296,23 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     on the split; the model's callables run on the caller's thread alone.
 
     Per iteration the first sweep scores the current latents and their
-    proposals in one stacked model call. The iterates of a block are kept
-    and folded into the compensated running sum at every snapshot and when
-    the block ends. Overflow warnings are off: a nonfinite gradient or
-    half-step raises an error naming the iteration, as in run_sa, and a
-    proposal step that overflows a block's offsets a ValueError naming the
-    step and the block's first iteration, as in samle_problem.
+    proposals in one stacked model call. The iterates of a block of draws
+    are kept and folded into the compensated running sum at every snapshot
+    and when the block ends. Overflow warnings are off: a nonfinite
+    gradient or half-step raises an error naming the iteration, as in
+    run_sa, and a proposal step that overflows a block's offsets a
+    ValueError naming the step and the block's first iteration, as in
+    samle_problem.
+
+    Steps run in test blocks of at most BLOCK_STEPS that end at every
+    snapshot and where the draws do. A block is taken untested and then
+    tested in one pass of Lockstep.outside's block form. If a half-step
+    fails, or a step raises or hits a divide or invalid floating-point
+    fault, the block is replayed from its starting latents with the test
+    at every step. The draws are indexed by step, so resets and errors
+    fall where run_sa has them, bit for bit. The model's callables must
+    so be pure: they may be called on rows past a would-be reset, and
+    what they return or raise there is dropped.
     """
     lock = Lockstep(schedule, ladder, k_max, seeds, snapshot_stride, store_thetas)
     if sweeps < 1:
@@ -324,8 +343,8 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     ratio = np.empty(B)
     accept = np.empty(B, dtype=bool)
     accept_col = accept[:, None]
-    # row i + 1 holds theta after the block's i-th step, row 0 the block's
-    # starting theta; the truncation test writes its half-step in place
+    # row i + 1 holds theta after the draw block's i-th step, row 0 the
+    # block's starting theta; a step writes its half-step in place
     path = np.empty((CHUNK + 1, B, d))
     path[0] = center
     # per iteration: b_k and each chain's radius, the truncation test's limits
@@ -336,18 +355,16 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     offsets = np.empty((min(CHUNK, k_max), sweeps, B, dx))
     uniforms = np.empty((min(CHUNK, k_max), sweeps, B))
 
-    stride = lock.stride
-    k = 0
-    while k < k_max:
-        length = min(CHUNK, k_max - k)
-        z, u = offsets[:length], uniforms[:length]
-        reflect = _draw_block(lock.rngs, z, u, proposal.step, k, box, xs, x0)
-        gains, thresholds = lock.block_schedule(k, length)
-        limits[:length, 0] = np.array(thresholds)[:, None]
-        limits[:length, 1] = lock.radius
-        folded = 0      # path rows 1..folded of this chunk are summed
+    # the latents at a block's start, to replay it from, and the block
+    # test's ref: each step's starting theta, then the ball center
+    x_start = np.empty_like(xs)
+    block_ref = np.empty((min(BLOCK_STEPS, CHUNK, k_max), 2, B, d))
+    block_ref[:, 1] = center
 
-        for i in range(length):
+    def run_steps(k, lo, hi, test):
+        """Take steps lo..hi - 1 of the draws, the first iteration k + 1,
+        each tested as run_sa tests it if test is set."""
+        for i in range(lo, hi):
             k += 1
             th = path[i]
             th_half = path[i + 1]
@@ -371,6 +388,8 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             grad = score(xs, th)
             np.multiply(grad, gains[i], out=th_half)
             np.add(th, th_half, out=th_half)
+            if not test:
+                continue
             reset = lock.outside(th_half, th_from, limits[i])
             if reset is not None:
                 # a nonfinite gradient or half-step fails the move test
@@ -384,10 +403,40 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                 np.copyto(xs, x0, where=reset[:, None])
                 lock.reset(reset, k)
                 limits[i + 1:length, 1] = lock.radius
-            # a fold block ends at every snapshot and at the chunk's end
-            if k % stride == 0 or i + 1 == length:
-                lock.fold(path[folded + 1:i + 2], k)
-                folded = i + 1
+
+    stride = lock.stride
+    k = 0
+    while k < k_max:
+        length = min(CHUNK, k_max - k)
+        z, u = offsets[:length], uniforms[:length]
+        reflect = _draw_block(lock.rngs, z, u, proposal.step, k, box, xs, x0)
+        gains, thresholds = lock.block_schedule(k, length)
+        limits[:length, 0] = np.array(thresholds)[:, None]
+        limits[:length, 1] = lock.radius
+        folded = 0      # path rows 1..folded of this chunk are summed
+        c = 0
+        while c < length:
+            # a test block ends at every snapshot and at the draws' end
+            n = min(BLOCK_STEPS, length - c, stride - k % stride)
+            np.copyto(x_start, xs)
+            try:
+                # a floating-point fault replays the block, where it
+                # warns, raises or is ignored as the caller's errstate says
+                with np.errstate(divide="raise", invalid="raise"):
+                    run_steps(k, c, c + n, test=False)
+                    np.copyto(block_ref[:n, 0], path[c:c + n])
+                    stands = lock.outside(path[c + 1:c + n + 1, None],
+                                          block_ref[:n], limits[c:c + n]) is None
+            except Exception:       # the tested replay raises it if it is real
+                stands = False
+            if not stands:
+                np.copyto(xs, x_start)
+                run_steps(k, c, c + n, test=True)
+            k += n
+            c += n
+            if k % stride == 0 or c == length:
+                lock.fold(path[folded + 1:c + 1], k)
+                folded = c
         path[0] = path[length]
 
     return lock.traces(path[0], [x.copy() for x in xs])

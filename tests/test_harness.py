@@ -785,3 +785,23 @@ def test_cli_reports_bad_data_file(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {path}: ") and message in err, err
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value, schedule, message", [
+    ("1e308", "{}", "error: nonfinite gradient at iteration 1: grad=[inf], theta=[0.], "
+                    "x=[" + " ".join(["1.e+308"] * 20) + "]\n"),
+    ("5e306", "{c1: 2}", "error: nonfinite parameter update at iteration 1: "
+                         "component 0 = inf\n"),
+], ids=["gradient", "parameter-update"])
+def test_cli_reports_a_diverging_run(tmp_path, capsys, value, schedule, message):
+    # finite values, so the data file loads; the gradient's sum of 20 such
+    # values overflows, or its first step at a_1 = 2 does. The suite turns
+    # warnings into errors, so the model's overflow must stay silent
+    (tmp_path / "data.txt").write_text(f"{value}\n" * 20)
+    p = write_config(tmp_path, f"mode: samle\nk_max: 200\ndata_file: data.txt\n"
+                               f"schedule: {schedule}\noutput_dir: {tmp_path / 'out'}\n")
+    assert main(["run-samle", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()

@@ -155,8 +155,17 @@ def test_ladder_radius_saturates_past_float_range():
 
 def truncation_test(d, half, ref, limits):
     lock = Lockstep(GainSchedule(), TruncationLadder(center=np.zeros(d)), 1,
-                    range(len(half)), 1, False)
+                    range(half.shape[-2]), 1, False)
     return lock.outside(half, ref, limits)
+
+
+def block_test(d, half, ref, limits, steps=4):
+    """The block form of the test on the same rows, split into steps."""
+    n = len(half) // steps
+    reset = truncation_test(d, half.reshape(steps, 1, n, d),
+                            ref.reshape(2, steps, n, d).transpose(1, 0, 2, 3),
+                            limits.reshape(2, steps, n).transpose(1, 0, 2))
+    return None if reset is None else reset.reshape(-1)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 7, 8, 9, 12, 16, 130])
@@ -172,9 +181,11 @@ def test_norm_matches_the_engines_rule(d):
     got = np.array([_dist(a, b) for a, b in zip(u.tolist(), v.tolist())])
     below = np.nextafter(got, -np.inf)
     ref = np.stack([v, v])
-    assert truncation_test(d, u, ref, np.stack([got, got])) is None
-    for limits in ([below, got], [got, below]):
-        assert truncation_test(d, u, ref, np.array(limits)).all()
+    # the block form, with a leading steps axis, takes the same norms
+    for test in (truncation_test, block_test):
+        assert test(d, u, ref, np.stack([got, got])) is None
+        for limits in ([below, got], [got, below]):
+            assert test(d, u, ref, np.array(limits)).all()
     if d >= 8:
         w = (u - v).tolist()
         left_to_right = [math.sqrt(functools.reduce(lambda t, x: t + x * x, row, 0.0))
@@ -191,8 +202,9 @@ def test_truncation_tests_reject_a_nonfinite_half_step(bad):
     half = np.zeros((4, 3))
     half[1, 0] = half[3, 2] = bad
     limits = np.array([[1.0] * 4, [np.inf] * 4])
-    reset = truncation_test(3, half, np.zeros((2, 4, 3)), limits)
-    assert reset.tolist() == [False, True, False, True]
+    for test in (truncation_test, block_test):
+        reset = test(3, half, np.zeros((2, 4, 3)), limits)
+        assert reset.tolist() == [False, True, False, True]
     for row in half.tolist():
         passes = _dist(row, [0.0] * 3) <= 1.0
         assert passes == all(map(math.isfinite, row))

@@ -460,11 +460,14 @@ def test_one_problem_serves_many_runs(toy_y):
         assert_same_trace(solo, member, f"seed {member.seed}")
 
 
-def counting(model, calls):
-    """model with each callable call appended to calls."""
+def counting(model, calls, threads=None):
+    """model with each callable call appended to calls, and the thread
+    that made it to threads if given."""
     def count(name, fn):
         def wrapped(x, theta):
             calls.append((name, len(x)))
+            if threads is not None:
+                threads.append(threading.get_ident())
             return fn(x, theta)
         return wrapped
 
@@ -485,6 +488,206 @@ def test_solo_run_makes_sweeps_plus_one_model_calls(toy_y, sweeps):
     per_iteration = ([("density", 2)] + [("density", 1)] * (sweeps - 1)
                      + [("grad", 1)])
     assert calls == per_iteration * 300
+
+
+BLOCK_END_CASES = [(shape, sweeps) for shape in ("toy", "narrow-box")
+                   for sweeps in (1, 2, 3)]
+
+
+def block_end_runs(y):
+    """Two chains per case on a tight, slowly growing ladder; k = 2500
+    crosses samle.CHUNK, and the stride 777 does not divide it."""
+    runs = []
+    for shape, sweeps in BLOCK_END_CASES:
+        model = SHAPES[shape](y)
+        ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                                  reinit_state=y.copy())
+        runs.append(run_samle_batch(
+            model, GainSchedule(c1=0.1), ladder, 2500, [sweeps, 10 + sweeps],
+            proposal=RandomWalk(step=0.4, bounds=model.x_space), sweeps=sweeps,
+            snapshot_stride=777, store_thetas=True))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def default_block_runs(toy_y):
+    return block_end_runs(toy_y)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 64, samle.CHUNK])
+def test_block_ends_change_no_bit(toy_y, default_block_runs, monkeypatch, steps):
+    # a test block ends at BLOCK_STEPS, at every snapshot and at the draws'
+    # end, and one where a chain truncates is replayed, so no block size
+    # may move a bit
+    monkeypatch.setattr(samle, "BLOCK_STEPS", steps)
+    for (shape, sweeps), ref, got in zip(BLOCK_END_CASES, default_block_runs,
+                                         block_end_runs(toy_y)):
+        assert all(t.sigma_events for t in ref), "the ladder must truncate"
+        for a, b in zip(ref, got):
+            assert_same_trace(a, b, f"{shape}, sweeps {sweeps}, seed {a.seed}, "
+                                    f"BLOCK_STEPS {steps}")
+
+
+SPIKE = 1000.0
+
+
+class SpikeGenerator:
+    """Stand-in for default_rng: every proposal offset is 0 but the first
+    latent's at the first sweep of the iterations in spikes, which is
+    SPIKE; every acceptance uniform is 1/2."""
+
+    def __init__(self, spikes):
+        self.spikes, self.k = spikes, 0
+
+    def standard_normal(self, shape):       # (steps, sweeps, dim x)
+        z = np.zeros(shape)
+        for j in self.spikes:
+            if self.k < j <= self.k + shape[0]:
+                z[j - self.k - 1, 0, 0] = SPIKE
+        self.k += shape[0]
+        return z
+
+    def random(self, shape):
+        return np.full(shape, 0.5)
+
+
+def spiking(monkeypatch, spikes):
+    """Chains whose seed is a key of spikes draw from a SpikeGenerator.
+
+    On a flat latent law every proposal is accepted, so the first latent
+    is 0 from the reset point until a spike takes it to SPIKE."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: SpikeGenerator(spikes[seed]))
+
+
+def spike_model(grad=lambda x, theta: x[:1], guard=None):
+    """One flat latent; guard(x, theta), if given, vets every row first."""
+    def check(xs, thetas):
+        if guard is not None:
+            for x, theta in zip(xs, thetas):
+                guard(x, theta)
+
+    def density(xs, thetas):
+        check(xs, thetas)
+        return np.zeros(len(xs))
+
+    def score(xs, thetas):
+        check(xs, thetas)
+        return np.array([grad(x, theta) for x, theta in zip(xs, thetas)])
+
+    bound = np.full(1, 1e100)
+    return MissingDataModel(grad_complete_loglik=score,
+                            predictive_log_density=density,
+                            x_space=Box(-bound, bound))
+
+
+def spike_ladder():
+    return TruncationLadder(center=np.zeros(1), reinit_state=np.zeros(1))
+
+
+def block_spikes():
+    """Spikes on a test block's first and last step, and two chains' on
+    different steps of one block; blocks start after multiples of
+    BLOCK_STEPS, as no snapshot falls inside the run."""
+    n = samle.BLOCK_STEPS
+    return {0: [2 * n + 1], 1: [3 * n], 2: [4 * n + 1 + n // 4],
+            3: [4 * n + 1 + 3 * n // 4], 4: []}
+
+
+def test_failures_inside_a_block_match_solo_runs(monkeypatch):
+    # each spike makes one half-step jump by a_j * SPIKE, past b_j, so its
+    # chain truncates there and nowhere else; between spikes theta drifts
+    # by a_j per step and stays inside both safeguards
+    spikes = block_spikes()
+    spiking(monkeypatch, spikes)
+    model = spike_model(grad=lambda x, theta: x[:1] + 1.0)
+    k_max = 6 * samle.BLOCK_STEPS
+    args = (model, GainSchedule(c1=0.1), spike_ladder(), k_max)
+    batch = run_samle_batch(*args, list(spikes), store_thetas=True)
+    for member in batch:
+        assert member.sigma_events == spikes[member.seed]
+        assert_same_trace(run_samle(*args, member.seed), member,
+                          f"seed {member.seed}, spikes at {spikes[member.seed]}")
+
+
+@pytest.mark.parametrize("value, error, c1", [
+    (np.inf, NonFiniteGradientError, 0.1), (np.nan, NonFiniteGradientError, 0.1),
+    (1e308, NonFiniteIterateError, 100.0),
+], ids=["inf-gradient", "nan-gradient", "overflowing-step"])
+def test_nonfinite_values_inside_a_block_fail_as_solo_runs_do(monkeypatch, value,
+                                                               error, c1):
+    # chain 1's gradient turns nonfinite at its spike, in mid-block, or
+    # a_j * 1e308 overflows there; the untested steps after it run on
+    # nonfinite theta, which must neither warn nor change the error
+    n = samle.BLOCK_STEPS
+    spikes = {0: [], 1: [2 * n + n // 2]}
+    spiking(monkeypatch, spikes)
+    model = spike_model(grad=lambda x, theta: [value if x[0] > 1.0 else 0.0])
+    args = (model, GainSchedule(c1=c1), spike_ladder(), 4 * n)
+    failures = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in (lambda: run_samle_batch(*args, [0, 1]),
+                    lambda: run_samle(*args, 1)):
+            with pytest.raises(error, match=f"at iteration {spikes[1][0]}:") as info:
+                run()
+            failures.append(info.value)
+    assert [str(w.message) for w in caught] == []
+    batch, solo = failures
+    assert batch.iteration == solo.iteration == spikes[1][0]
+    assert str(batch) == str(solo)
+
+
+class LeakedRow(RuntimeError):
+    pass
+
+
+def test_rows_past_a_would_be_reset_do_not_leak(monkeypatch):
+    # theta is 0 until the spike, whose step truncates; a chain that were
+    # not reset would next see the spiked latent at a nonzero theta, rows
+    # on which both callables raise
+    def guard(x, theta):
+        if x[0] > 1.0 and theta[0] != 0.0:
+            raise LeakedRow(f"row x={x}, theta={theta}")
+
+    n = samle.BLOCK_STEPS
+    spikes = {0: [2 * n + 1 + n // 2], 1: []}
+    spiking(monkeypatch, spikes)
+    args = (spike_model(guard=guard), GainSchedule(c1=0.1), spike_ladder(), 4 * n)
+    batch = run_samle_batch(*args, [0, 1], store_thetas=True)
+    for member in batch:
+        assert member.sigma_events == spikes[member.seed]
+        assert_same_trace(run_samle(*args, member.seed), member,
+                          f"seed {member.seed}")
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_batch_makes_sweeps_plus_one_model_calls(toy_y, sweeps):
+    calls, threads, B, k_max = [], [], 3, 300
+    model = counting(gaussian_location_model(toy_y), calls, threads)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    traces = run_samle_batch(model, GainSchedule(c1=0.1), ladder, k_max,
+                             range(B), proposal=RandomWalk(step=0.4), sweeps=sweeps)
+    assert not any(t.sigma_events for t in traces)
+    per_iteration = ([("density", 2 * B)] + [("density", B)] * (sweeps - 1)
+                     + [("grad", B)])
+    assert calls == per_iteration * k_max
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_replayed_block_repeats_its_model_calls_once(monkeypatch):
+    # chain 0 truncates in the third test block, which is replayed whole
+    n = samle.BLOCK_STEPS
+    spiking(monkeypatch, {0: [2 * n + 3], 1: []})
+    calls, threads = [], []
+    model = counting(spike_model(), calls, threads)
+    traces = run_samle_batch(model, GainSchedule(c1=0.1), spike_ladder(),
+                             4 * n, [0, 1], sweeps=2)
+    assert [t.sigma_events for t in traces] == [[2 * n + 3], []]
+    per_iteration = [("density", 4), ("density", 2), ("grad", 2)]
+    # 4n iterations, and the n of the replayed block once more
+    assert calls == per_iteration * (5 * n)
+    assert set(threads) == {threading.get_ident()}
 
 
 def first_step_then(value):
