@@ -353,10 +353,11 @@ class Lockstep:
     """Bookkeeping of B chains that an engine runs in lockstep.
 
     Chain b draws only from rngs[b] = default_rng(seeds[b]). The engine
-    moves every chain, tests its half-steps (outside) and reports
-    truncations (reset) and blocks of iterates (fold); this class keeps
-    each chain's truncation count, ball radius and truncation iterations,
-    the compensated sums, the stored iterates if asked for, and the snapshots.
+    moves every chain, tests its half-steps (outside, unless may_truncate
+    shows that none can fail) and reports truncations (reset) and blocks
+    of iterates (fold); this class keeps the truncation rule's ball, each
+    chain's truncation count, radius and truncation iterations, the
+    compensated sums, the stored iterates if asked for, and the snapshots.
     """
 
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
@@ -374,12 +375,14 @@ class Lockstep:
         B = len(seeds)
         self.rngs = [np.random.default_rng(s) for s in seeds]
         self.sig = np.zeros(B, dtype=np.int64)
-        self.radius = ladder.radius_at(self.sig)
         self.events: list[list[int]] = [[] for _ in range(B)]
         self.ksum: KahanSum | None = None   # as wide as the folded rows
         self.thetas = np.empty((B, k_max, self.d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
         self._step_work = self._test_work((2, B))
+        # the per-step test's limits are b_k and then each chain's radius
+        self.radius = self._step_work[-1][1]
+        self.radius[:] = ladder.radius_at(self.sig)
 
     def block_schedule(self, k: int, length: int) -> tuple[list[float], list[float]]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
@@ -391,29 +394,37 @@ class Lockstep:
         """Scratch of the truncation test for limits of the given shape."""
         sq = np.zeros(shape + (max(self.d, 1),))
         return (sq, sq[..., :self.d], sq[..., -1], np.empty(shape),
-                np.empty(shape, dtype=bool))
+                np.empty(shape, dtype=bool), np.empty(shape))
 
-    def outside(self, half: np.ndarray, ref: np.ndarray,
-                limits: np.ndarray) -> np.ndarray | None:
+    def outside(self, half: np.ndarray, prev: np.ndarray,
+                b: float | np.ndarray) -> np.ndarray | None:
         """Truncation test of every chain's (B, d) half-step.
 
-        ref (2, B, d) holds each chain's previous iterate and the ball
-        center, limits (2, B) b_k and each chain's radius. Returns None when
-        every chain passes both, else the mask of chains to reset; a NaN or
-        inf half-step fails, as b_k is finite. Each norm is a running sum of
+        prev (B, d) holds each chain's iterate before the step and b the
+        move threshold b_k, or one limit per chain; the ball has the
+        ladder's center and each chain's radius. Returns None when every
+        chain passes both, else the mask of chains to reset; a NaN or inf
+        half-step fails, as b_k is finite. Each norm is a running sum of
         squares, so summed left to right as _dist sums it; at d = 0 it is 0.
 
-        The block form tests n steps at once: ref (n, 2, B, d) and limits
-        (n, 2, B) carry a leading steps axis, half is (n, 1, B, d) so that
-        it meets both rows of ref, and the mask is (n, B). Its norms are
-        the per-step ones bit for bit, as every operation is elementwise
-        but the running sum, which runs along the last axis either way.
+        The block form tests n steps taken untested at once: half and prev
+        are (n, B, d), b holds n thresholds or (n, B) limits, and the mask
+        is (n, B). No chain resets within such a block, so the radii hold
+        for every step. Its norms are the per-step ones bit for bit, as
+        every operation is elementwise but the running sum, which runs
+        along the last axis either way.
         """
-        if ref.ndim == 3:
-            sq, diff, total, norms, within = self._step_work
+        if half.ndim == 2:
+            sq, diff, total, norms, within, limits = self._step_work
         else:
-            sq, diff, total, norms, within = self._test_work(limits.shape)
-        np.subtract(half, ref, out=diff)
+            n = len(half)
+            sq, diff, total, norms, within, limits = self._test_work(
+                (n, 2, len(self.radius)))
+            b = np.reshape(b, (n, -1))
+            limits[:, 1] = self.radius
+        limits[..., 0, :] = b
+        np.subtract(half, prev, out=diff[..., 0, :, :])
+        np.subtract(half, self.ladder.center, out=diff[..., 1, :, :])
         np.multiply(sq, sq, out=sq)
         np.add.accumulate(sq, axis=-1, out=sq)
         np.sqrt(total, out=norms)
@@ -422,10 +433,38 @@ class Lockstep:
             return None
         return ~(within[..., 0, :] & within[..., 1, :])
 
+    def may_truncate(self, theta: np.ndarray, gains: np.ndarray,
+                     thresholds: np.ndarray, h_norm_max: float) -> bool:
+        """False when no chain can fail the truncation test within a block.
+
+        theta (B, d) holds each chain's iterate at the block's start, and
+        ||H|| <= h_norm_max at every step. Step j moves theta by a_j * H,
+        so its norm is at most a_j * h_norm_max, widened for the rounding
+        of the half step, of the difference and of the norm. That rounding
+        scales with |theta|, whose entries stay below their largest value
+        at the start plus the summed a_j * h_norm_max, as no entry of H
+        exceeds its norm; the sum is doubled for slack. The pad of
+        (d + 33) * 2**-50 covers the norm, a left-to-right sum of d
+        squares, whose relative error is at most (d - 1) * 2**-53. While no
+        chain truncates, radii stay put and each chain stays within the
+        summed step bounds of its start, so by induction none truncates,
+        and every half-step is finite. NaN or inf anywhere makes the test
+        run.
+        """
+        d = self.d
+        pad = 1.0 + (d + 33) * 2.0 ** -50
+        theta_norm = 2.0 * np.sqrt(d) * (np.abs(theta).max(initial=0.0)
+                                         + gains.sum() * h_norm_max)
+        bounds = (gains * h_norm_max + 2.0 ** -52 * theta_norm) * pad
+        dev = np.linalg.norm(theta - self.ladder.center, axis=1)
+        return not (np.all(bounds < thresholds)
+                    and np.all((dev + bounds.sum()) * pad < self.radius))
+
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""
         self.sig += mask
-        self.radius = self.ladder.radius_at(self.sig)
+        # in place, as radius is a row of the per-step test's limits
+        self.radius[:] = self.ladder.radius_at(self.sig)
         for b in np.nonzero(mask)[0]:
             self.events[b].append(k)
 
@@ -486,7 +525,7 @@ class SaProblem:
     not modify. If labels is given, labels[x] is the subregion index of
     sample point x, from 0 to max(labels), and run_sa counts the visits.
     If h_norm_max is given, ||H(theta, x)|| never exceeds it, and run_sa
-    skips the truncation test where block_may_truncate allows.
+    skips the truncation test where Lockstep.may_truncate allows.
     """
 
     sample_step: Callable[[list[float], Any, np.random.Generator], Any]
@@ -501,33 +540,6 @@ def _dist(u: Sequence[float], v: Sequence[float]) -> float:
     for p, q in zip(u, v):
         total += (p - q) * (p - q)
     return math.sqrt(total)
-
-
-def block_may_truncate(theta: np.ndarray, center: np.ndarray,
-                       radius: float | np.ndarray, gains: np.ndarray,
-                       thresholds: np.ndarray, h_norm_max: float, d: int) -> bool:
-    """False when no chain can fail the truncation test within a block.
-
-    theta (B, d) holds each chain's iterate at the block's start, and
-    ||H|| <= h_norm_max at every step. Step j moves theta by a_j * H, so its
-    norm is at most a_j * h_norm_max, widened for the rounding of the half
-    step, of the difference and of the norm. That rounding scales with
-    |theta|, whose entries stay below their largest value at the start plus
-    the summed a_j * h_norm_max, as no entry of H exceeds its norm; the sum
-    is doubled for slack. The pad of (d + 33) * 2**-50 covers the norm, a
-    left-to-right sum of d squares, whose relative error is at most
-    (d - 1) * 2**-53. While no chain truncates, radii stay put and each
-    chain stays within the summed step bounds of its start, so by induction
-    none truncates, and every half-step is finite. NaN or inf anywhere
-    makes the test run.
-    """
-    pad = 1.0 + (d + 33) * 2.0 ** -50
-    theta_norm = 2.0 * np.sqrt(d) * (np.abs(theta).max(initial=0.0)
-                                     + gains.sum() * h_norm_max)
-    bounds = (gains * h_norm_max + 2.0 ** -52 * theta_norm) * pad
-    dev = np.linalg.norm(theta - center, axis=1)
-    return not (np.all(bounds < thresholds)
-                and np.all((dev + bounds.sum()) * pad < radius))
 
 
 def mh_accept(log_r: float, u: float) -> bool:
@@ -556,8 +568,8 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     This is the lockstep engines' recursion for one chain, on Python
     floats: the same norms and ball radii, and Lockstep's bookkeeping,
     with blocks of iterates folded in at every snapshot. When the problem
-    declares h_norm_max, a block whose every step block_may_truncate shows
-    to pass takes its half-steps without the test.
+    declares h_norm_max, a block whose every step Lockstep.may_truncate
+    shows to pass takes its half-steps without the test.
     """
     lock = Lockstep(schedule, ladder, k_max, [seed], snapshot_stride, store_thetas=True)
     sample_step, h_noisy, labels = problem.sample_step, problem.h_noisy, problem.labels
@@ -569,9 +581,9 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     while k < k_max:
         length = min(BLOCK, k_max - k, snapshot_stride - k % snapshot_stride)
         gains, thresholds = lock.block_schedule(k, length)
-        skip = problem.h_norm_max is not None and not block_may_truncate(
-            np.array([theta]), ladder.center, radius, np.array(gains),
-            np.array(thresholds), problem.h_norm_max, lock.d)
+        skip = problem.h_norm_max is not None and not lock.may_truncate(
+            np.array([theta]), np.array(gains), np.array(thresholds),
+            problem.h_norm_max)
         rows = []
         for a, b in zip(gains, thresholds):
             k += 1

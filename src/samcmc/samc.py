@@ -22,7 +22,7 @@ import numpy as np
 
 from .oracle import FiniteChainSpec
 from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
-                 block_may_truncate, mh_accept, run_sa)
+                 mh_accept, run_sa)
 
 __all__ = [
     "SamcModel",
@@ -181,18 +181,19 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     uniforms are copied step-major, each step's gain scales every update
     row at once, and the visits are read off the theta gather's index at
     the block's end. The truncation test is skipped for a fold block only
-    when sa.block_may_truncate, the bound run_sa skips by, shows that every
-    chain passes both its move and its ball test there.
+    when Lockstep.may_truncate, the bound run_sa skips by, shows that every
+    chain passes both its move and its ball test there. The test takes the
+    iterate before the step: the realized difference, not a*update,
+    matches run_sa bit for bit.
     """
     m, n = model.m, model.chain.n_states
     x0 = _initial_state(model, ladder)
     lock = Lockstep(schedule, ladder, k_max, seeds, snapshot_stride, store_thetas)
     cdf, ratio_table, steps_ext = model.cdf, model.ratio_table, model.steps
 
-    center = ladder.center
     label_idx = model.chain.labels0
     j0 = int(label_idx[x0])
-    reinit_ext = np.append(center, 0.0)
+    reinit_ext = np.append(ladder.center, 0.0)
 
     B = len(seeds)
     # path[r] holds every chain's extended theta after the r-th step of a
@@ -221,12 +222,6 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     cdf_rows = np.empty((B, n))
     above = np.empty((B, n), dtype=bool)
     accept = np.empty(B, dtype=bool)
-    # the truncation test's ref row 0 is the iterate before the step: the
-    # realized difference, not a*update, matches run_sa bit for bit; limits
-    # holds b_k and each chain's radius per step of a tested fold block
-    ref = np.empty((2, B, m - 1))
-    ref[1] = center
-    limits = np.empty((fold, 2, B))
     counts = np.zeros((B, m), dtype=np.int64)
 
     # DRAW_ROWS steps of a block's draws laid out chain-major, one row per
@@ -256,19 +251,16 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
             # where the held draws run out
             steps = min(fold, length - c, lock.stride - k % lock.stride,
                         DRAW_ROWS - c % DRAW_ROWS)
-            test = block_may_truncate(
-                free_rows[0], center, lock.radius, gains[c:c + steps],
-                thresholds[c:c + steps], model.row_norm, m - 1)
-            if test:
-                limits[:steps, 0] = thresholds[c:c + steps, None]
-                limits[:steps, 1] = lock.radius
+            test = lock.may_truncate(free_rows[0], gains[c:c + steps],
+                                     thresholds[c:c + steps], model.row_norm)
             cols = slice(c % DRAW_ROWS, c % DRAW_ROWS + steps)
             np.copyto(u_col[:steps, :, 0], u_prop[:, cols].T)
             # each step's gain times every label's update row, the same
             # doubles as the product formed per step
             scaled = np.multiply.outer(gains[c:c + steps], steps_ext)
-            for i, u_p, u_a, rows_i, base_i, idx_i in zip(
-                    range(steps), u_col, u_acc[:, cols].T, scaled, base, idx):
+            for i, u_p, u_a, rows_i, b_i, base_i, idx_i in zip(
+                    range(steps), u_col, u_acc[:, cols].T, scaled,
+                    thresholds[c:c + steps], base, idx):
                 # proposal draw by inverse cdf on the current state's row:
                 # the first entry above u is the count of entries <= u, as
                 # the row is nondecreasing and ends at 1 > u
@@ -289,13 +281,11 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 rows_i.take(j_cur, axis=0, out=ext_rows[i + 1], mode="clip")
                 np.add(ext_rows[i + 1], ext_rows[i], out=ext_rows[i + 1])
                 if test:
-                    np.copyto(ref[0], free_rows[i])
-                    reset = lock.outside(free_rows[i + 1], ref, limits[i])
+                    reset = lock.outside(free_rows[i + 1], free_rows[i], b_i)
                     if reset is not None:
                         np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
                         np.copyto(cur, start, where=reset)
                         lock.reset(reset, k + i + 1)
-                        limits[i + 1:steps, 1] = lock.radius
             k += steps
             c += steps
 

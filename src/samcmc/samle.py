@@ -332,12 +332,9 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     # the first sweep scores both at the current theta in one model call
     pair = np.tile(x0, (2 * B, 1))
     xs, ys = pair[:B], pair[B:]
-    # two copies of theta (one per half of pair) and then the ball center;
-    # rows 1: are the truncation test's ref
-    th_ref = np.empty((3, B, d))
-    th_ref[2] = center
-    th_pair, th_rows = th_ref[:2], th_ref[:2].reshape(2 * B, d)
-    th_from = th_ref[1:]
+    # two copies of theta, one per half of pair
+    th_pair = np.empty((2, B, d))
+    th_rows = th_pair.reshape(2 * B, d)
     lp = np.empty(2 * B)
     lp_x, lp_y = lp[:B], lp[B:]
     ratio = np.empty(B)
@@ -347,19 +344,14 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
     # block's starting theta; a step writes its half-step in place
     path = np.empty((CHUNK + 1, B, d))
     path[0] = center
-    # per iteration: b_k and each chain's radius, the truncation test's limits
-    limits = np.empty((CHUNK, 2, B))
 
     # one block of draws laid out step-major, so each step reads
     # contiguous (B, dx) offsets and (B,) uniforms
     offsets = np.empty((min(CHUNK, k_max), sweeps, B, dx))
     uniforms = np.empty((min(CHUNK, k_max), sweeps, B))
 
-    # the latents at a block's start, to replay it from, and the block
-    # test's ref: each step's starting theta, then the ball center
+    # the latents at a block's start, to replay it from
     x_start = np.empty_like(xs)
-    block_ref = np.empty((min(BLOCK_STEPS, CHUNK, k_max), 2, B, d))
-    block_ref[:, 1] = center
 
     def run_steps(k, lo, hi, test):
         """Take steps lo..hi - 1 of the draws, the first iteration k + 1,
@@ -390,7 +382,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
             np.add(th, th_half, out=th_half)
             if not test:
                 continue
-            reset = lock.outside(th_half, th_from, limits[i])
+            reset = lock.outside(th_half, th, thresholds[i])
             if reset is not None:
                 # a nonfinite gradient or half-step fails the move test
                 bad = ~np.isfinite(th_half).all(axis=1)
@@ -402,7 +394,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                 np.copyto(th_half, center, where=reset[:, None])
                 np.copyto(xs, x0, where=reset[:, None])
                 lock.reset(reset, k)
-                limits[i + 1:length, 1] = lock.radius
 
     stride = lock.stride
     k = 0
@@ -411,8 +402,6 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
         z, u = offsets[:length], uniforms[:length]
         reflect = _draw_block(lock.rngs, z, u, proposal.step, k, box, xs, x0)
         gains, thresholds = lock.block_schedule(k, length)
-        limits[:length, 0] = np.array(thresholds)[:, None]
-        limits[:length, 1] = lock.radius
         folded = 0      # path rows 1..folded of this chunk are summed
         c = 0
         while c < length:
@@ -424,9 +413,8 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
                 # warns, raises or is ignored as the caller's errstate says
                 with np.errstate(divide="raise", invalid="raise"):
                     run_steps(k, c, c + n, test=False)
-                    np.copyto(block_ref[:n, 0], path[c:c + n])
-                    stands = lock.outside(path[c + 1:c + n + 1, None],
-                                          block_ref[:n], limits[c:c + n]) is None
+                    stands = lock.outside(path[c + 1:c + n + 1], path[c:c + n],
+                                          thresholds[c:c + n]) is None
             except Exception:       # the tested replay raises it if it is real
                 stands = False
             if not stands:

@@ -153,19 +153,41 @@ def test_ladder_radius_saturates_past_float_range():
             assert far == np.inf and far <= ladder.radius_at(400)
 
 
-def truncation_test(d, half, ref, limits):
+def lockstep(d, chains, radius):
+    """A Lockstep of chains around a zero center, each with the given radius."""
     lock = Lockstep(GainSchedule(), TruncationLadder(center=np.zeros(d)), 1,
-                    range(half.shape[-2]), 1, False)
-    return lock.outside(half, ref, limits)
+                    range(chains), 1, False)
+    lock.radius[:] = radius
+    return lock
+
+
+def either(*resets):
+    """The rows any of the tests resets, or None if none resets one."""
+    masks = [r.reshape(-1) for r in resets if r is not None]
+    return np.any(masks, axis=0) if masks else None
+
+
+def truncation_test(d, half, ref, limits):
+    """Lockstep.outside per step, one chain per row of half: the move from
+    ref[0] against limits[0], then the ball norm of half - ref[1] around
+    the zero center against the radii limits[1]."""
+    ball = half - ref[1]
+    return either(
+        lockstep(d, len(half), np.inf).outside(half, ref[0], limits[0]),
+        lockstep(d, len(half), limits[1]).outside(ball, np.zeros_like(ball), np.inf))
 
 
 def block_test(d, half, ref, limits, steps=4):
-    """The block form of the test on the same rows, split into steps."""
+    """The block form of the test on the same rows: the move test on the
+    rows split into steps, the ball test on one step of them all, as a
+    chain keeps its radius through a block."""
     n = len(half) // steps
-    reset = truncation_test(d, half.reshape(steps, 1, n, d),
-                            ref.reshape(2, steps, n, d).transpose(1, 0, 2, 3),
-                            limits.reshape(2, steps, n).transpose(1, 0, 2))
-    return None if reset is None else reset.reshape(-1)
+    block = (steps, n, d)
+    ball = (half - ref[1])[None]
+    return either(
+        lockstep(d, n, np.inf).outside(half.reshape(block), ref[0].reshape(block),
+                                       limits[0].reshape(steps, n)),
+        lockstep(d, len(half), limits[1]).outside(ball, np.zeros_like(ball), [np.inf]))
 
 
 @pytest.mark.parametrize("d", [0, 1, 2, 3, 7, 8, 9, 12, 16, 130])
@@ -208,6 +230,20 @@ def test_truncation_tests_reject_a_nonfinite_half_step(bad):
     for row in half.tolist():
         passes = _dist(row, [0.0] * 3) <= 1.0
         assert passes == all(map(math.isfinite, row))
+
+
+def test_reset_widens_the_ball_of_its_chains_alone():
+    # the next test after a reset reads the radii it wrote: a half-step
+    # between r0 and r0*growth from the center fails on both chains, and
+    # once chain 0 truncates, passes on chain 0 and fails on chain 1, in
+    # the per-step test and in the block form
+    ladder = TruncationLadder(center=np.array([1.0, -2.0]), r0=0.5, growth=10.0)
+    lock = Lockstep(GainSchedule(), ladder, 1, [0, 1], 1, False)
+    half = np.tile(ladder.center + [3.0, 0.0], (2, 1))
+    assert lock.outside(half, half, 1.0).tolist() == [True, True]
+    lock.reset(np.array([True, False]), 1)
+    assert lock.outside(half, half, 1.0).tolist() == [False, True]
+    assert lock.outside(half[None], half[None], [1.0]).tolist() == [[False, True]]
 
 
 @pytest.mark.parametrize("growth", [10.0, 1.5, 1.6])

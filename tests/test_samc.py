@@ -17,14 +17,12 @@ from samcmc import (
     TruncationLadder,
     chain10,
     exact_omega,
-    gain_at,
     omega_hat,
     run_sa,
     run_samc,
     run_samc_batch,
     stationary_dist,
     theta_star,
-    threshold_at,
     transition_matrix,
     visit_freq,
 )
@@ -656,12 +654,11 @@ def test_truncation_test_runs_only_where_a_chain_may_fail(chain):
     model = SamcModel.from_chain(replace(chain, pi=MOVE_BINDS_PI))
 
     def may_fail(first, theta=np.ones((2, 2)), radius=1e6):
-        ks = range(first, first + 64)
-        return sa.block_may_truncate(
-            theta, np.zeros(2), np.full(2, radius),
-            np.array([gain_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
-            np.array([threshold_at(MOVE_BINDS_SCHEDULE, k) for k in ks]),
-            model.row_norm, 2)
+        lock = sa.Lockstep(MOVE_BINDS_SCHEDULE,
+                           TruncationLadder(center=np.zeros(2), r0=radius),
+                           1, [0, 1], 1, False)
+        gains, thresholds = map(np.array, lock.block_schedule(first - 1, 64))
+        return lock.may_truncate(theta, gains, thresholds, model.row_norm)
 
     assert may_fail(1) and may_fail(8193)
     assert not any(may_fail(k) for k in range(16_385, 20_000, 64))
