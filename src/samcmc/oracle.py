@@ -59,19 +59,20 @@ class FiniteChainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "log_psi", np.asarray(self.log_psi, dtype=float))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
+        labels = np.asarray(self.labels, dtype=float)
         object.__setattr__(self, "proposal", np.asarray(self.proposal, dtype=float))
         object.__setattr__(self, "pi", np.asarray(self.pi, dtype=float))
         m = len(self.pi)
         object.__setattr__(self, "m", m)
         if self.log_psi.shape != (self.n_states,):
             raise ValueError("log_psi length must equal n_states")
-        if self.labels.shape != (self.n_states,):
+        if labels.shape != (self.n_states,):
             raise ValueError("labels length must equal n_states")
         if self.proposal.shape != (self.n_states, self.n_states):
             raise ValueError("proposal must be n_states x n_states")
-        if self.labels.min() < 1 or self.labels.max() > m:
-            raise ValueError("labels must lie in 1..m")
+        if not np.all((labels == np.floor(labels)) & (labels >= 1) & (labels <= m)):
+            raise ValueError("labels must lie in 1..m and be integers")
+        object.__setattr__(self, "labels", labels.astype(int))
         # every subregion must contain at least one state
         present = np.unique(self.labels)
         if len(present) != m:

@@ -518,18 +518,18 @@ class Lockstep:
 class SaProblem:
     """A generic stochastic-approximation problem.
 
-    sample_step(theta, x, rng) advances the sample-chain one step; it must
-    leave the theta-indexed stationary law invariant (caller's obligation).
-    h_noisy(theta, x_new) returns the update direction H(theta, x_new) as a
-    sequence of floats. Both get theta as a list of floats, which they must
-    not modify. If labels is given, labels[x] is the subregion index of
-    sample point x, from 0 to max(labels), and run_sa counts the visits.
-    If h_norm_max is given, ||H(theta, x)|| never exceeds it, and run_sa
-    skips the truncation test where Lockstep.may_truncate allows.
+    step(theta, x, rng) moves the sample chain one step from x, leaving
+    the theta-indexed stationary law invariant (caller's obligation), and
+    returns (x_new, H(theta, x_new)), the direction a sequence of floats.
+    It gets theta as a list of floats, which it must not modify. If
+    labels is given, labels[x] is the subregion index of sample point x,
+    from 0 to max(labels), and run_sa counts the visits. If h_norm_max
+    is given, ||H(theta, x)|| never exceeds it, and run_sa skips the
+    truncation test where Lockstep.may_truncate allows.
     """
 
-    sample_step: Callable[[list[float], Any, np.random.Generator], Any]
-    h_noisy: Callable[[list[float], Any], Sequence[float]]
+    step: Callable[[list[float], Any, np.random.Generator],
+                   tuple[Any, Sequence[float]]]
     labels: Sequence[int] | None = None
     h_norm_max: float | None = None
 
@@ -564,15 +564,17 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     """Run the varying-truncation recursion for k_max iterations.
 
     The run starts at (ladder.center, ladder.reinit_state) and is
-    bit-reproducible for a fixed seed. Nonfinite parameter updates abort.
-    This is the lockstep engines' recursion for one chain, on Python
-    floats: the same norms and ball radii, and Lockstep's bookkeeping,
-    with blocks of iterates folded in at every snapshot. When the problem
-    declares h_norm_max, a block whose every step Lockstep.may_truncate
-    shows to pass takes its half-steps without the test.
+    bit-reproducible for a fixed seed. Each iteration makes one
+    problem.step call and moves theta by a_k times the direction it
+    returns; nonfinite parameter updates abort. This is the lockstep
+    engines' recursion for one chain, on Python floats: the same norms
+    and ball radii, and Lockstep's bookkeeping, with blocks of iterates
+    folded in at every snapshot. When the problem declares h_norm_max, a
+    block whose every step Lockstep.may_truncate shows to pass takes its
+    half-steps without the test.
     """
     lock = Lockstep(schedule, ladder, k_max, [seed], snapshot_stride, store_thetas=True)
-    sample_step, h_noisy, labels = problem.sample_step, problem.h_noisy, problem.labels
+    step, labels = problem.step, problem.labels
     rng, radius = lock.rngs[0], float(lock.radius[0])
     center, reinit = ladder.center.tolist(), ladder.reinit_state
     theta, x = center, reinit
@@ -587,8 +589,8 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
         rows = []
         for a, b in zip(gains, thresholds):
             k += 1
-            x = sample_step(theta, x, rng)
-            half = [t + a * h for t, h in zip(theta, h_noisy(theta, x))]
+            x, h_new = step(theta, x, rng)
+            half = [t + a * h for t, h in zip(theta, h_new)]
             # accept the half-step iff it moved at most b_k and stayed in K_sigma
             if skip or ((move := _dist(half, theta)) <= b
                         and _dist(half, center) <= radius):

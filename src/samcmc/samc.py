@@ -110,8 +110,9 @@ def _initial_state(model: SamcModel, ladder: TruncationLadder) -> int:
 def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
     """One chain of run_samc_batch as a run_sa problem, with the same draws.
 
-    Acceptance is mh_accept, which decides as the batch engine's numpy exp.
-    Each new rng starts the draws afresh.
+    A step returns the new state and its label's update row. Acceptance
+    is mh_accept, which decides as the batch engine's numpy exp. Each new
+    rng starts the draws afresh.
     """
     cdf, n, d = model.cdf, model.chain.n_states, model.m - 1
     # bisect only the entries where a row rises: the first above u < 1 is one
@@ -128,7 +129,7 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
             u_prop = rng.random(min(CHUNK, k_max - k))
             yield from zip(u_prop.tolist(), rng.random(u_prop.size).tolist())
 
-    def sample_step(theta, x, rng):
+    def step(theta, x, rng):
         nonlocal draws, owner
         if rng is not owner:
             draws, owner = blocks(rng), rng
@@ -139,11 +140,9 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
         # theta_x - theta_y, with the pinned component 0
         log_r = ratios[i] + ((theta[jx] if jx < d else 0.0)
                              - (theta[jy] if jy < d else 0.0))
-        return y if mh_accept(log_r, u_acc) else x
+        return (y, rows[jy]) if mh_accept(log_r, u_acc) else (x, rows[jx])
 
-    return SaProblem(sample_step=sample_step,
-                     h_noisy=lambda theta, x: rows[labels[x]], labels=labels,
-                     h_norm_max=model.row_norm)
+    return SaProblem(step=step, labels=labels, h_norm_max=model.row_norm)
 
 
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,

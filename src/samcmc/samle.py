@@ -58,7 +58,7 @@ class Box:
         object.__setattr__(self, "upper", np.atleast_1d(np.asarray(self.upper, float)))
         if self.lower.shape != self.upper.shape:
             raise ValueError("bounds must have matching shapes")
-        if np.any(self.lower >= self.upper):
+        if not np.all(self.lower < self.upper):     # NaN fails too
             raise ValueError("lower bounds must be strictly below upper bounds")
 
     def contains(self, x: np.ndarray) -> bool:
@@ -143,19 +143,20 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
 
     Blocks are drawn by _draw_block, as in the batch. Each new rng restarts
     the draws and takes the point it starts from as the reset point. A
-    proposal step that overflows a block's offsets raises ValueError. An
-    iteration makes sweeps + 1 model calls, the first sweep scoring both
-    points in one; sample points are never modified.
+    proposal step that overflows a block's offsets raises ValueError. A
+    step runs the sweeps and returns the new point and the gradient there.
+    It makes sweeps + 1 model calls, the first sweep scoring both points
+    in one and the gradient last; sample points are never modified.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
-    box, step = proposal.bounds or model.x_space, proposal.step
+    box = proposal.bounds or model.x_space
     predictive, score = model.predictive_log_density, model.grad_complete_loglik
     owner = x0 = offsets = uniforms = reflect = th = th1 = pair = None
     k = 0
 
-    def sample_step(theta, x, rng):
+    def step(theta, x, rng):
         nonlocal owner, x0, offsets, uniforms, reflect, th, th1, pair, k
         if rng is not owner:
             owner, x0, k = rng, x, 0
@@ -164,7 +165,7 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
         if k % CHUNK == 0:
             z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
             us = np.empty(z.shape[:3])
-            reflect = _draw_block([rng], z, us, step, k, box, x[None], x0)
+            reflect = _draw_block([rng], z, us, proposal.step, k, box, x[None], x0)
             offsets = iter(z.reshape(-1, x.size))
             uniforms = iter(us[:, :, 0].tolist())
         k += 1
@@ -180,16 +181,12 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
                 lp_y = predictive(y[None], th1).tolist()[0]
             if mh_accept(lp_y - lp_x, u):
                 x, lp_x = y, lp_y
-        return x
-
-    def h_noisy(theta, x):
-        # run_sa calls this right after sample_step, which put theta in th
         grad = score(x[None], th1).tolist()[0]
         if not all(map(isfinite, grad)):
             raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
-        return grad
+        return x, grad
 
-    return SaProblem(sample_step=sample_step, h_noisy=h_noisy)
+    return SaProblem(step=step)
 
 
 @np.errstate(over="ignore")

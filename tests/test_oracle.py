@@ -328,6 +328,17 @@ def test_poisson_solve_iid_kernel():
     np.testing.assert_allclose(u, table - h[None, :], rtol=0, atol=1e-12)
 
 
+def test_poisson_solve_raises_on_a_singular_or_unsolved_system():
+    # h = f H is consistent with f = (1, 0), but the identity kernel makes
+    # I - P + 1 f^T singular, and the swap's stationary law is (1/2, 1/2),
+    # not f, so its pinned solution misses u - P u = H - h by 1/2
+    table, f = np.array([[1.0], [0.0]]), np.array([1.0, 0.0])
+    with pytest.raises(RuntimeError, match="singular beyond pinning"):
+        poisson_solve(np.eye(2), table, f @ table, f)
+    with pytest.raises(RuntimeError, match="residual 0.5 exceeds"):
+        poisson_solve(np.array([[0.0, 1.0], [1.0, 0.0]]), table, f @ table, f)
+
+
 def test_poisson_solve_rejects_inconsistent_h(chain):
     omega = exact_omega(chain)
     p = transition_matrix(chain, THETA_STAR)
@@ -497,6 +508,10 @@ def test_spec_rejects_empty_subregion():
         spec(labels=(1, 1, 3), proposal=np.full((3, 3), 1 / 3), pi=np.full(3, 1 / 3))
     for labels in ((0, 1), (1, 3)):
         with pytest.raises(ValueError, match="labels must lie in 1..m"):
+            spec(labels=labels)
+    # not truncated to (1, 2), nor left to numpy's cast of NaN
+    for labels in ((1.7, 2.2), (np.nan, 2.0)):
+        with pytest.raises(ValueError, match="labels must lie in 1..m and be integers"):
             spec(labels=labels)
 
 

@@ -47,6 +47,12 @@ GOLDEN_RUN_SA_TRUNCATING = (
     "5bc252034f6ee19fc82a4e51a5b99a99bc7324902cc5dc888bcf5b4366450e8d")
 
 
+def noisy_mean_step(th, x, rng):
+    """A standard normal draw and H = x - theta there."""
+    x = rng.standard_normal()
+    return x, [x - th[0]]
+
+
 def test_gain_at_values():
     assert gain_at(GainSchedule(c1=1.0, eta=0.7), 1) == 1.0
     assert abs(gain_at(GainSchedule(c1=1.0, eta=0.7), 100) - 10 ** -1.4) < 1e-15
@@ -279,8 +285,7 @@ def test_ladder_validation():
 def test_run_sa_contraction():
     # H(theta, x) = -theta with no noise: |theta_k| is nonincreasing and
     # converges to the root at 0
-    problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: [-th[0]])
+    problem = SaProblem(step=lambda th, x, rng: (x, [-th[0]]))
     ladder = TruncationLadder(center=np.array([1.0]), r0=10.0,
                               reinit_state=None)
     trace = run_sa(problem, GainSchedule(), ladder, 2000, seed=0)
@@ -291,8 +296,7 @@ def test_run_sa_contraction():
 
 
 def test_run_sa_zero_field_is_fixed_point():
-    problem = SaProblem(sample_step=lambda th, x, rng: rng.random(),
-                        h_noisy=lambda th, x: [0.0])
+    problem = SaProblem(step=lambda th, x, rng: (rng.random(), [0.0]))
     ladder = TruncationLadder(center=np.array([0.7]), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 500, seed=1)
     assert np.all(trace.thetas == 0.7)
@@ -300,8 +304,7 @@ def test_run_sa_zero_field_is_fixed_point():
 
 
 def test_run_sa_deterministic_reruns():
-    problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: [x - th[0]])
+    problem = SaProblem(step=noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     a = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
     b = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
@@ -312,10 +315,10 @@ def test_run_sa_deterministic_reruns():
 
 
 def test_run_sa_aborts_on_nonfinite_update():
-    def h(th, x):
-        return [math.inf] if x >= 3 else [0.1]
+    def step(th, x, rng):
+        return x + 1, [math.inf] if x + 1 >= 3 else [0.1]
 
-    problem = SaProblem(sample_step=lambda th, x, rng: x + 1, h_noisy=h)
+    problem = SaProblem(step=step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0)
     with pytest.raises(NonFiniteIterateError, match="iteration 3"):
         run_sa(problem, GainSchedule(), ladder, 100, seed=0)
@@ -323,8 +326,7 @@ def test_run_sa_aborts_on_nonfinite_update():
 
 def test_run_sa_truncation_resets_to_initial_pair():
     # a huge update direction trips the threshold immediately
-    problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: [100.0])
+    problem = SaProblem(step=lambda th, x, rng: (x, [100.0]))
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5, reinit_state="x0")
     trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
     assert trace.sigma_events == [1, 2, 3, 4, 5]
@@ -333,11 +335,40 @@ def test_run_sa_truncation_resets_to_initial_pair():
     assert trace.final_state == "x0"
 
 
+def test_run_sa_steps_once_per_iteration_and_moves_by_the_returned_direction():
+    # x counts the steps since the last reset and each direction is a new
+    # draw, so an extra or a missing call, or a direction other than the
+    # one returned with the step's point, shows in the path
+    calls = []
+
+    def step(th, x, rng):
+        h = [rng.uniform(-1.0, 1.0)]
+        calls.append((list(th), x, h))
+        return x + 1, h
+
+    schedule = GainSchedule(c1=2.0)
+    ladder = TruncationLadder(center=[0.25], r0=0.1, growth=1.02, reinit_state=0)
+    trace = run_sa(SaProblem(step=step), schedule, ladder, 3000, seed=5,
+                   snapshot_stride=700)
+    assert len(calls) == 3000
+    # resets in the first fold block and past it
+    assert trace.sigma_events[0] == 1 and trace.sigma_events[-1] > 700
+    theta, x = 0.25, 0
+    for k, (th, x_in, h), row in zip(range(1, 3001), calls,
+                                     trace.thetas[:, 0].tolist()):
+        assert (th, x_in) == ([theta], x), f"iteration {k}"
+        if k in trace.sigma_events:
+            theta, x = 0.25, 0
+        else:
+            theta, x = theta + gain_at(schedule, k) * h[0], x + 1
+        assert row == theta, f"iteration {k}"
+    assert trace.final_state == x
+
+
 def test_run_sa_final_state_does_not_alias_the_reset_point():
     # a truncation on the last iteration leaves x at the reset point; the
     # trace must hold a copy, or mutating it would change the ladder
-    problem = SaProblem(sample_step=lambda th, x, rng: x + 1.0,
-                        h_noisy=lambda th, x: [100.0])
+    problem = SaProblem(step=lambda th, x, rng: (x + 1.0, [100.0]))
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5,
                               reinit_state=np.zeros(2))
     trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
@@ -358,8 +389,9 @@ def test_run_sa_bound_at_the_norm_of_every_step_changes_no_bit(c1, c2, r0):
     # at c1 = c2 = 2 the move test fails at k = 1, as a_1 * 1.25 > b_1; in
     # both the ball of radius r0 * 1.2**s truncates the walk now and then,
     # also after 50-step blocks that skipped the test
-    problem = SaProblem(sample_step=lambda th, x, rng: int(rng.integers(10)),
-                        h_noisy=lambda th, x: BOUNDED_STEPS[x], h_norm_max=1.25)
+    problem = SaProblem(
+        step=lambda th, x, rng: (j := int(rng.integers(10)), BOUNDED_STEPS[j]),
+        h_norm_max=1.25)
     ladder = TruncationLadder(center=np.zeros(3), r0=r0, growth=1.2, reinit_state=0)
     schedule = GainSchedule(c1=c1, c2=c2)
     for seed in range(3):
@@ -419,8 +451,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
     # at k = 1 the gain is 1 and the move threshold 2: a zero move stays in
     # a tiny ball, a move of 0.6 leaves a ball of radius 0.5, and one of 3
     # stays in a ball of radius 100 but is too fast
-    problem = SaProblem(sample_step=lambda th, x, rng: x + 1,
-                        h_noisy=lambda th, x: [h])
+    problem = SaProblem(step=lambda th, x, rng: (x + 1, [h]))
     start = 0.2 * r0
     ladder = TruncationLadder(center=[start], r0=r0, reinit_state=0)
     trace = run_sa(problem, GainSchedule(), ladder, 1, seed=0)
@@ -433,8 +464,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
 
 
 def test_run_sa_golden_digests():
-    problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: [x - th[0]])
+    problem = SaProblem(step=noisy_mean_step)
     plain = run_sa(problem, GainSchedule(),
                    TruncationLadder(center=np.zeros(1), reinit_state=0.0),
                    3000, seed=42, snapshot_stride=500)
@@ -492,8 +522,7 @@ def test_golden_digests_hold_at_lower_cpu_dispatch_levels():
 
 
 def run_sa_with(stride):
-    problem = SaProblem(sample_step=lambda th, x, rng: x,
-                        h_noisy=lambda th, x: [-th[0]])
+    problem = SaProblem(step=lambda th, x, rng: (x, [-th[0]]))
     run_sa(problem, GainSchedule(),
            TruncationLadder(center=np.zeros(1), reinit_state=0.0),
            10, seed=0, snapshot_stride=stride)
@@ -594,8 +623,7 @@ def test_trajectory_average_light_trace():
 
 
 def test_running_sum_matches_average():
-    problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: [x - th[0]])
+    problem = SaProblem(step=noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 20000, seed=9)
     lhs = trajectory_average(trace, 0) * trace.k
@@ -695,8 +723,7 @@ def test_kahan_add_rows_of_wide_rows_matches_one_add_per_row(layout):
 
 
 def test_snapshot_sums_match_prefix_means():
-    problem = SaProblem(sample_step=lambda th, x, rng: rng.standard_normal(),
-                        h_noisy=lambda th, x: [x - th[0]])
+    problem = SaProblem(step=noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 5000, seed=3,
                    snapshot_stride=1000)

@@ -438,13 +438,13 @@ def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
     model = SamcModel.from_chain(FiniteChainSpec(
         n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
         proposal=np.array([[0.0, 1.0], [1.0, 0.0]]), pi=np.full(2, 0.5)))
-    step = samc.samc_problem(model, 1).sample_step
+    step = samc.samc_problem(model, 1).step
     log_r = -np.random.default_rng(3).exponential(2.0, 20_000)
     engine_exp = np.exp(log_r)
     libm_exp = np.array([math.exp(v) for v in log_r.tolist()])
 
     def moved(i, u):
-        return step([float(log_r[i])], 0, Draws([0.5], [u])) == 1
+        return step([float(log_r[i])], 0, Draws([0.5], [u]))[0] == 1
 
     for i in range(300):
         e = float(engine_exp[i])
@@ -707,7 +707,7 @@ def test_solo_skip_changes_no_bit(case):
 def count_dist_calls(monkeypatch, problem, block):
     """Patch sa._dist to count its calls per block of iterations."""
     calls, k = collections.Counter(), 0
-    dist, step = sa._dist, problem.sample_step
+    dist, step = sa._dist, problem.step
 
     def counting_dist(u, v):
         calls[(k - 1) // block] += 1
@@ -719,7 +719,7 @@ def count_dist_calls(monkeypatch, problem, block):
         return step(theta, x, rng)
 
     monkeypatch.setattr(sa, "_dist", counting_dist)
-    return calls, replace(problem, sample_step=counting_step)
+    return calls, replace(problem, step=counting_step)
 
 
 def test_solo_run_skips_the_test_only_where_no_step_may_fail(monkeypatch):

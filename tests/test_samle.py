@@ -336,6 +336,9 @@ def test_box_validation():
         Box(np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
         Box(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    for lower, upper in ([np.nan], [1.0]), ([0.0], [np.nan]):
+        with pytest.raises(ValueError, match="strictly below"):
+            Box(lower, upper)
     box = Box(np.zeros(2), np.ones(2))
     assert box.contains(np.array([0.5, 1.0]))
     assert not box.contains(np.array([0.5, 1.1]))
