@@ -426,7 +426,8 @@ class Lockstep:
         np.subtract(half, prev, out=diff[..., 0, :, :])
         np.subtract(half, self.ladder.center, out=diff[..., 1, :, :])
         np.multiply(sq, sq, out=sq)
-        np.add.accumulate(sq, axis=-1, out=sq)
+        if self.d > 1:      # else each total is its one square already
+            np.add.accumulate(sq, axis=-1, out=sq)
         np.sqrt(total, out=norms)
         np.less_equal(norms, limits, out=within)
         if np.count_nonzero(within) == within.size:

@@ -112,7 +112,8 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
 
     A step returns the new state and its label's update row. Acceptance
     is mh_accept, which decides as the batch engine's numpy exp. Each new
-    rng starts the draws afresh.
+    rng starts the draws afresh, and a step past the k_max iterations they
+    are drawn for raises ValueError.
     """
     cdf, n, d = model.cdf, model.chain.n_states, model.m - 1
     # bisect only the entries where a row rises: the first above u < 1 is one
@@ -128,6 +129,8 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
         for k in range(0, k_max, CHUNK):
             u_prop = rng.random(min(CHUNK, k_max - k))
             yield from zip(u_prop.tolist(), rng.random(u_prop.size).tolist())
+        raise ValueError(f"iteration {k_max + 1} is past k_max = {k_max}, the "
+                         f"iterations the problem draws for")
 
     def step(theta, x, rng):
         nonlocal draws, owner

@@ -108,7 +108,9 @@ class MissingDataModel:
     them only on the caller's thread. They must be pure: run_samle_batch
     may call them on rows of a block of steps that it then replays, rows
     past a truncation that the replay resets, and drops what they return
-    or raise there.
+    or raise there. The solo path scores two sweeps per call, so also the
+    proposal its chain does not reach, and drops what they return or
+    raise there; a warning given there prints unless warnings are errors.
     """
 
     grad_complete_loglik: Callable
@@ -142,45 +144,79 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
     """One chain of run_samle_batch as a run_sa problem, with the same draws.
 
     Blocks are drawn by _draw_block, as in the batch. Each new rng restarts
-    the draws and takes the point it starts from as the reset point. A
-    proposal step that overflows a block's offsets raises ValueError. A
-    step runs the sweeps and returns the new point and the gradient there.
-    It makes sweeps + 1 model calls, the first sweep scoring both points
-    in one and the gradient last; sample points are never modified.
+    the draws and takes the point it starts from as the reset point; a
+    step past the k_max iterations it draws for raises ValueError, as does
+    a proposal step that overflows a block's offsets. A step runs the
+    sweeps and returns the new point and the gradient there.
+
+    Two sweeps are scored per model call, on four rows: the latents x,
+    their proposal y and the next sweep's proposal from each. So the call
+    also scores, and then drops, the proposal the chain does not reach. If
+    it raises, the pair is rescored sweep by sweep, so what the model
+    returns or raises on that row never reaches the chain; a warning it
+    gives there still prints unless warnings are errors. An odd last sweep
+    is scored alone, with x if it is the first. So a step makes
+    (sweeps + 1) // 2 + 1 model calls, the gradient last, each row made as
+    in the batch; sample points are never modified.
     """
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
     box = proposal.bounds or model.x_space
     predictive, score = model.predictive_log_density, model.grad_complete_loglik
-    owner = x0 = offsets = uniforms = reflect = th = th1 = pair = None
-    k = 0
+    owner = x0 = offsets = uniforms = reflect = rows = th = pair = th2 = th1 = None
+    k = end = 0
+    firsts = range(0, sweeps, 2)        # the first sweep of each pair
 
     def step(theta, x, rng):
-        nonlocal owner, x0, offsets, uniforms, reflect, th, th1, pair, k
+        nonlocal owner, x0, offsets, uniforms, reflect, rows, th, pair, th2, th1, k, end
         if rng is not owner:
-            owner, x0, k = rng, x, 0
-            th = np.empty((2, len(theta)))      # theta for each of two rows
-            th1, pair = th[:1], np.empty((2, x.size))
-        if k % CHUNK == 0:
+            owner, x0, k, end = rng, x, 0, 0
+            # x, y and the next sweep's proposals from both, each at theta
+            rows, th = np.empty((4, x.size)), np.empty((4, len(theta)))
+            pair, th2, th1 = rows[:2], th[:2], th[:1]
+        if k == end:        # the block's draws are spent
+            if k == k_max:
+                raise ValueError(f"iteration {k + 1} is past k_max = {k_max}, "
+                                 f"the iterations the problem draws for")
             z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
+            end = k + len(z)
             us = np.empty(z.shape[:3])
             reflect = _draw_block([rng], z, us, proposal.step, k, box, x[None], x0)
             offsets = iter(z.reshape(-1, x.size))
             uniforms = iter(us[:, :, 0].tolist())
         k += 1
         th[:] = theta
-        for s, u in enumerate(next(uniforms)):
+        us, lp_x = next(uniforms), None
+        for s in firsts:        # sweeps s and s + 1
             y = x + next(offsets)
             if reflect:
                 y = reflect_into_box(y, box)
-            if s == 0:
-                pair[0], pair[1] = x, y
-                lp_x, lp_y = predictive(pair, th).tolist()
-            else:
-                lp_y = predictive(y[None], th1).tolist()[0]
-            if mh_accept(lp_y - lp_x, u):
-                x, lp_x = y, lp_y
+            if s + 1 == sweeps:     # an odd last sweep, scored alone
+                if lp_x is None:
+                    pair[0], pair[1] = x, y
+                    lp_x, lp_y = predictive(pair, th2).tolist()
+                else:
+                    lp_y = predictive(y[None], th1).tolist()[0]
+                if mh_accept(lp_y - lp_x, us[s]):
+                    x = y
+                break
+            rows[0], rows[1] = x, y
+            np.add(pair, next(offsets), out=rows[2:])
+            if reflect:
+                rows[2:] = reflect_into_box(rows[2:], box)
+            try:
+                lp = predictive(rows, th).tolist()
+            except Exception:   # sweep by sweep: it may fail on the dropped row
+                lp = predictive(pair, th2).tolist() + [None, None]
+            j = 1 if mh_accept(lp[1] - lp[0], us[s]) else 0
+            if lp[2] is None:
+                lp[j + 2] = predictive(rows[j + 2:j + 3], th1).tolist()[0]
+            if mh_accept(lp[j + 2] - lp[j], us[s + 1]):
+                j += 2
+            if j:
+                x = y if j == 1 else rows[j].copy()
+            lp_x = lp[j]
         grad = score(x[None], th1).tolist()[0]
         if not all(map(isfinite, grad)):
             raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
@@ -199,8 +235,11 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
     sweeps > 1 applies that many MH refreshes to the latent data before
     each gradient step. This is run_sa on samle_problem, so a solo run is
     bit-identical to the matching batch member, at a fraction of its cost
-    per iteration. Overflow warnings are off, as in the batch: a
-    nonfinite gradient or half-step raises an error naming the iteration.
+    per iteration: it scores two sweeps per model call, so it may score
+    and drop the proposal its chain does not reach, with what the model
+    returns or raises there; a warning there prints unless warnings are
+    errors. Overflow warnings are off, as in the batch: a nonfinite
+    gradient or half-step raises an error naming the iteration.
     """
     problem = samle_problem(model, k_max, proposal=proposal, sweeps=sweeps)
     ladder = replace(ladder, reinit_state=_reset_point(ladder))

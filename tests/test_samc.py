@@ -429,6 +429,15 @@ class Draws:
         return np.array(block)
 
 
+@pytest.mark.parametrize("k_max", [1000, samc.CHUNK])
+def test_problem_run_past_its_k_max_names_both(model, k_max):
+    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    with pytest.raises(ValueError,
+                       match=rf"iteration {k_max + 1} is past k_max = {k_max},"):
+        run_sa(samc.samc_problem(model, k_max), GainSchedule(), ladder,
+               2 * k_max, seed=0)
+
+
 def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
     # the solo path must decide the acceptance test as the batch engine,
     # whose exp is numpy's on an array, for u at that exp and its

@@ -419,7 +419,7 @@ SHAPES = {"toy": gaussian_location_model, "narrow-box": narrow_box_model,
 
 @pytest.mark.parametrize("shape, sweeps, chains", [
     *(pytest.param(shape, sweeps, 2, id=f"{shape}-{sweeps}")
-      for shape in sorted(SHAPES) for sweeps in (1, 2, 3)),
+      for shape in sorted(SHAPES) for sweeps in (1, 2, 3, 4)),
     pytest.param("toy", 2, 5, id="toy-2-5-chains"),
 ])
 def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps,
@@ -480,17 +480,76 @@ def counting(model, calls, threads=None):
         x_space=model.x_space)
 
 
-@pytest.mark.parametrize("sweeps", [1, 3])
-def test_solo_run_makes_sweeps_plus_one_model_calls(toy_y, sweeps):
+@pytest.mark.parametrize("sweeps", [1, 2, 3, 4])
+def test_solo_run_scores_two_sweeps_per_model_call(toy_y, sweeps):
     calls = []
     model = counting(gaussian_location_model(toy_y), calls)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
     run_samle(model, GainSchedule(c1=0.1), ladder, 300, seed=1,
               proposal=RandomWalk(step=0.4), sweeps=sweeps)
-    # the first sweep scores the current point and its proposal in one call
-    per_iteration = ([("density", 2)] + [("density", 1)] * (sweeps - 1)
+    # a pair of sweeps scores the latents, their proposal and the next
+    # sweep's proposal from each in one call; an odd last sweep scores its
+    # proposal alone, or with the latents if it is the first sweep
+    pairs, odd = divmod(sweeps, 2)
+    per_iteration = ([("density", 4)] * pairs
+                     + [("density", 2 if sweeps == 1 else 1)] * odd
                      + [("grad", 1)])
     assert calls == per_iteration * 300
+
+
+def watching_rows(model, see):
+    """model whose density passes the bytes of each row it scores to see."""
+    def predictive(x, theta):
+        for row in x:
+            see(row.tobytes())
+        return model.predictive_log_density(x, theta)
+
+    return MissingDataModel(model.grad_complete_loglik, predictive, model.x_space)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shape", ["toy", "narrow-box"])
+@pytest.mark.parametrize("sweeps", [2, 3, 4])
+@pytest.mark.parametrize("fault", ["raises", "warns"])
+def test_model_faults_on_the_dropped_proposal_leave_solo_runs_alone(
+        toy_y, fault, sweeps, shape):
+    # a pair's call also scores the proposal the chain does not reach. A
+    # model that raises, or warns with warnings as errors, on every row
+    # the batch never scores fails that call each time; the pair is then
+    # rescored sweep by sweep, and the solo run equals its batch member
+    base = SHAPES[shape](toy_y)
+    ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                              reinit_state=toy_y.copy())
+    args = (GainSchedule(c1=0.1), ladder, 600)
+    kwargs = dict(proposal=RandomWalk(step=0.4, bounds=base.x_space),
+                  sweeps=sweeps)
+    scored, dropped = set(), []
+    batch = run_samle_batch(watching_rows(base, scored.add), *args, [1, 2],
+                            store_thetas=True, **kwargs)
+
+    def fail_on_dropped(row):
+        if row not in scored:
+            dropped.append(row)
+            if fault == "raises":
+                raise ValueError("a row the chain does not reach")
+            warnings.warn("a row the chain does not reach", RuntimeWarning)
+
+    model = watching_rows(base, fail_on_dropped)
+    for member in batch:
+        solo = run_samle(model, *args, member.seed, **kwargs)
+        assert_same_trace(solo, member, f"{fault}, {shape}, sweeps {sweeps}, "
+                                        f"seed {member.seed}")
+    # every pair's call failed once, on the proposal it dropped
+    assert len(dropped) == 2 * 600 * (sweeps // 2)
+
+
+@pytest.mark.parametrize("k_max", [1000, samle.CHUNK])
+def test_problem_run_past_its_k_max_names_both(toy_y, k_max):
+    problem = samle.samle_problem(gaussian_location_model(toy_y), k_max)
+    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
+    with pytest.raises(ValueError,
+                       match=rf"iteration {k_max + 1} is past k_max = {k_max},"):
+        run_sa(problem, GainSchedule(c1=0.1), ladder, 3 * k_max, seed=0)
 
 
 BLOCK_END_CASES = [(shape, sweeps) for shape in ("toy", "narrow-box")
