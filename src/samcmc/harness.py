@@ -138,7 +138,7 @@ def load_config(path) -> ExperimentConfig:
     mode = raw["mode"]
     _require(mode in MODES, f"{path}: mode must be one of {', '.join(MODES)}, got {mode!r}")
 
-    sched_raw = raw.get("schedule") or {}
+    sched_raw = {} if raw.get("schedule") is None else raw["schedule"]
     _require(isinstance(sched_raw, dict), f"{path}: 'schedule' must be a mapping")
     unknown = sorted(set(sched_raw) - set(_SCHEDULE_KEYS))
     _require(not unknown, f"{path}: unknown schedule keys: {', '.join(unknown)}")
@@ -152,7 +152,7 @@ def load_config(path) -> ExperimentConfig:
         # the error message names the first failing clause
         raise ScheduleValidationError(report)
 
-    ladder_raw = raw.get("ladder") or {}
+    ladder_raw = {} if raw.get("ladder") is None else raw["ladder"]
     _require(isinstance(ladder_raw, dict), f"{path}: 'ladder' must be a mapping")
     unknown = sorted(set(ladder_raw) - set(_LADDER_KEYS))
     _require(not unknown, f"{path}: unknown ladder keys: {', '.join(unknown)}")
@@ -239,17 +239,17 @@ def load_data(config: ExperimentConfig) -> np.ndarray:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # an empty file is rejected below
-            y = np.loadtxt(path, comments="#", ndmin=1)
+            y = np.loadtxt(path, comments="#", ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if y.size == 0:
         raise ConfigError(f"{path}: no observations")
-    if y.ndim != 1:
+    if y.shape[1] != 1:
         raise ConfigError(f"{path}: expected one column of observations, "
                           f"found {y.shape[1]}")
     if not np.all(np.isfinite(y)):
         raise ConfigError(f"{path}: observations must be finite")
-    return y
+    return y[:, 0]
 
 
 def _build_ladder(config: ExperimentConfig, dim: int, state) -> TruncationLadder:

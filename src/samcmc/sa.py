@@ -353,11 +353,12 @@ class Lockstep:
     """Bookkeeping of B chains that an engine runs in lockstep.
 
     Chain b draws only from rngs[b] = default_rng(seeds[b]). The engine
-    moves every chain, tests its half-steps (outside, unless may_truncate
-    shows that none can fail) and reports truncations (reset) and blocks
-    of iterates (fold); this class keeps the truncation rule's ball, each
-    chain's truncation count, radius and truncation iterations, the
-    compensated sums, the stored iterates if asked for, and the snapshots.
+    moves every chain, tests its half-steps a step or a block at a time
+    (outside, unless may_truncate shows that none can fail) and reports
+    truncations (reset) and blocks of iterates (fold); this class keeps
+    the truncation rule's ball, each chain's truncation count and
+    iterations, the array of radii that reset rebinds, the compensated
+    sums, the stored iterates if asked for, and the snapshots.
     """
 
     def __init__(self, schedule: GainSchedule, ladder: TruncationLadder,
@@ -379,10 +380,7 @@ class Lockstep:
         self.ksum: KahanSum | None = None   # as wide as the folded rows
         self.thetas = np.empty((B, k_max, self.d)) if store_thetas else None
         self.snaps: list[list[Snapshot]] = [[] for _ in range(B)]
-        self._step_work = self._test_work((2, B))
-        # the per-step test's limits are b_k and then each chain's radius
-        self.radius = self._step_work[-1][1]
-        self.radius[:] = ladder.radius_at(self.sig)
+        self.radius = ladder.radius_at(self.sig)
 
     def block_schedule(self, k: int, length: int) -> tuple[list[float], list[float]]:
         """Gains a_j and move thresholds b_j for iterations j = k+1..k+length."""
@@ -390,46 +388,32 @@ class Lockstep:
         return ([gain_at(self.schedule, j) for j in js],
                 [threshold_at(self.schedule, j) for j in js])
 
-    def _test_work(self, shape: tuple) -> tuple:
-        """Scratch of the truncation test for limits of the given shape."""
-        sq = np.zeros(shape + (max(self.d, 1),))
-        return (sq, sq[..., :self.d], sq[..., -1], np.empty(shape),
-                np.empty(shape, dtype=bool), np.empty(shape))
-
     def outside(self, half: np.ndarray, prev: np.ndarray,
                 b: float | np.ndarray) -> np.ndarray | None:
-        """Truncation test of every chain's (B, d) half-step.
+        """Truncation test of every chain's half-step, at one step or many.
 
-        prev (B, d) holds each chain's iterate before the step and b the
-        move threshold b_k, or one limit per chain; the ball has the
-        ladder's center and each chain's radius. Returns None when every
-        chain passes both, else the mask of chains to reset; a NaN or inf
-        half-step fails, as b_k is finite. Each norm is a running sum of
-        squares, so summed left to right as _dist sums it; at d = 0 it is 0.
-
-        The block form tests n steps taken untested at once: half and prev
-        are (n, B, d), b holds n thresholds or (n, B) limits, and the mask
-        is (n, B). No chain resets within such a block, so the radii hold
-        for every step. Its norms are the per-step ones bit for bit, as
-        every operation is elementwise but the running sum, which runs
-        along the last axis either way.
+        half holds each chain's half-step and prev its iterate before the
+        step, both (..., B, d): one step's (B, d) or n steps' (n, B, d). b
+        holds the move threshold b_k of each step, or a limit per chain and
+        step; the ball has the ladder's center and each chain's radius,
+        which holds through a block, as no chain resets within one. Returns
+        None when every step passes both, else the mask (half.shape[:-1])
+        of steps to reset; a NaN or inf half-step fails, as b_k is finite.
+        Each norm is a running sum of squares along the last axis, so
+        summed left to right as _dist sums it, and 0 at d = 0; the rest is
+        elementwise, so a step's norms do not depend on its block.
         """
-        if half.ndim == 2:
-            sq, diff, total, norms, within, limits = self._step_work
-        else:
-            n = len(half)
-            sq, diff, total, norms, within, limits = self._test_work(
-                (n, 2, len(self.radius)))
-            b = np.reshape(b, (n, -1))
-            limits[:, 1] = self.radius
-        limits[..., 0, :] = b
-        np.subtract(half, prev, out=diff[..., 0, :, :])
-        np.subtract(half, self.ladder.center, out=diff[..., 1, :, :])
+        shape = half.shape[:-2] + (2, half.shape[-2])
+        sq = np.zeros(shape + (max(self.d, 1),))
+        limits = np.empty(shape)
+        limits[..., 0, :] = np.reshape(b, shape[:-2] + (-1,))
+        limits[..., 1, :] = self.radius
+        np.subtract(half, prev, out=sq[..., 0, :, :self.d])
+        np.subtract(half, self.ladder.center, out=sq[..., 1, :, :self.d])
         np.multiply(sq, sq, out=sq)
         if self.d > 1:      # else each total is its one square already
             np.add.accumulate(sq, axis=-1, out=sq)
-        np.sqrt(total, out=norms)
-        np.less_equal(norms, limits, out=within)
+        within = np.sqrt(sq[..., -1]) <= limits
         if np.count_nonzero(within) == within.size:
             return None
         return ~(within[..., 0, :] & within[..., 1, :])
@@ -464,8 +448,7 @@ class Lockstep:
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""
         self.sig += mask
-        # in place, as radius is a row of the per-step test's limits
-        self.radius[:] = self.ladder.radius_at(self.sig)
+        self.radius = self.ladder.radius_at(self.sig)
         for b in np.nonzero(mask)[0]:
             self.events[b].append(k)
 

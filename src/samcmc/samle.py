@@ -342,7 +342,7 @@ def run_samle_batch(model: MissingDataModel, schedule: GainSchedule,
 
     Steps run in test blocks of at most BLOCK_STEPS that end at every
     snapshot and where the draws do. A block is taken untested and then
-    tested in one pass of Lockstep.outside's block form. If a half-step
+    tested in one Lockstep.outside call on all its steps. If a half-step
     fails, or a step raises or hits a divide or invalid floating-point
     fault, the block is replayed from its starting latents with the test
     at every step. The draws are indexed by step, so resets and errors

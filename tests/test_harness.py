@@ -20,6 +20,7 @@ from samcmc import (
     ConfigError,
     EfficiencyReport,
     FiniteChainSpec,
+    GainSchedule,
     OUTPUT_DIR_ENV,
     ScheduleValidationError,
     chain10,
@@ -162,6 +163,14 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert config.seed == 0 and config.replications == 1
     assert config.snapshot_stride == 1000 and config.sweeps == 1
     assert config.output_dir == tmp_path / "out"
+
+
+def test_null_schedule_and_ladder_mean_defaults(tmp_path):
+    # only an absent key or null means defaults; 0, false and [] are errors
+    config = load_config(write_config(
+        tmp_path, "mode: samc\nk_max: 1000\nschedule: null\nladder: null\n"))
+    assert config.schedule == GainSchedule()
+    assert (config.r0, config.growth, config.theta0) == (10.0, 10.0, None)
 
 
 def test_integral_float_counts_as_an_integer(tmp_path):
@@ -642,11 +651,13 @@ def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     ("samle", "data_file: 7", "data_file must be a path string, got 7"),
     ("samc", "output_dir: 5", "output_dir must be a path string, got 5"),
     ("samc", "output_dir: null", "output_dir must be a path string, got None"),
+    ("samc", "schedule: 0", "'schedule' must be a mapping"),
+    ("samc", "ladder: []", "'ladder' must be a mapping"),
 ], ids=["nan-c1", "nan-theta0", "k_max-1e5", "k_max-abc", "k_max-float",
         "negative-seed", "samc-x0-range", "samc-x0-float", "samle-x0-length",
         "samle-x0-bool", "r0-abc", "theta0-entry-abc", "proposal_step-abc",
         "proposal_step-inf", "chain_file-list", "chain_file-int", "data_file-int",
-        "output_dir-int", "output_dir-null"])
+        "output_dir-int", "output_dir-null", "schedule-zero", "ladder-empty-list"])
 def test_cli_reports_bad_config_values(tmp_path, capsys, mode, text, message):
     out = tmp_path / "out"
     body = text if text.startswith("k_max") else f"k_max: 1000\n{text}"
@@ -774,7 +785,8 @@ def test_cli_run_samle_reads_a_commented_data_file(tmp_path, capsys):
     ("1.0\nabc\n", "could not convert string 'abc'"),
     ("# no data\n", "no observations"),
     ("1 2\n3 4\n", "expected one column of observations, found 2"),
-], ids=["nan", "non-numeric", "empty", "two-columns"])
+    ("1 2\n", "expected one column of observations, found 2"),
+], ids=["nan", "non-numeric", "empty", "two-columns", "one-row-two-columns"])
 def test_cli_reports_bad_data_file(tmp_path, capsys, text, message):
     path = tmp_path / "data.txt"
     path.write_text(text)
