@@ -89,8 +89,10 @@ def _cmd_efficiency(args) -> int:
     print("oracle Gamma:")
     print(_fmt_mat(report.oracle_gamma))
     print(f"frobenius_rel_err: {report.frobenius_rel_err:.6g}")
-    print(f"trace ratio (averaged/last): "
-          f"{np.trace(report.empirical_cov) / np.trace(report.last_iterate_cov):.6g}")
+    last = np.trace(report.last_iterate_cov)
+    print("trace ratio (averaged/last): " + (
+        f"{np.trace(report.empirical_cov) / last:.6g}" if last > 0
+        else "undefined, as every replication ends at the same point"))
     for p in paths:
         print(f"wrote {p}")
     return 0

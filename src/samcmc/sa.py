@@ -349,6 +349,56 @@ def trajectory_average(trace: RunTrace, k0: int = 0) -> np.ndarray:
         f"light trace: k0={k0} must be 0 or a snapshot point for averaging")
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32
+# words: its t-th hashmix call xors with init * mult**t and multiplies by
+# the next power, so every call's constants are known ahead
+_POOL_MIX, _STATE_MIX = (
+    np.array([init * pow(mult, t, 2**32) % 2**32 for t in range(calls + 1)], dtype=np.uint32)
+    for init, mult, calls in [(0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8)])
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ (words >> 16)
+
+
+@dataclass
+class _StateWords:
+    """A seed sequence whose words for PCG64, generate_state(4, uint64), are hashed."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self.words
+
+
+def _rngs(seeds: Sequence) -> list:
+    """default_rng(seed) for every seed, the seeds hashed in one array pass.
+
+    An integer seed in [0, 2**128) is at most the 4 words of SeedSequence's
+    pool, zero-padded, and is hashed here as SeedSequence hashes it: the
+    words, the cross-mix, then generate_state(4, uint64). Any other seed
+    goes to default_rng, so it gets the same stream or exception as there.
+    """
+    from numpy.random import PCG64, Generator, bit_generator, default_rng
+    bit_generator.ISeedSequence.register(_StateWords)
+    ints = [int(s) if isinstance(s, (int, np.integer)) else -1 for s in seeds]
+    hashed = [0 <= n < 2 ** 128 for n in ints]
+    # each seed's 4 words, low first, into the pool, then each into the rest
+    words = np.array([[n % 2**64, n >> 64] for n, h in zip(ints, hashed) if h],
+                     dtype=np.uint64).reshape(-1, 2).astype("<u8").view("<u4")
+    pool = _hashmix(words, _POOL_MIX[:5])
+    for src, t in enumerate(range(4, 16, 3)):
+        dst = [j for j in range(4) if j != src]
+        mixed = (pool[:, dst] * 0xCA01F9DD
+                 - _hashmix(pool[:, src:src + 1], _POOL_MIX[t:t + 4]) * 0x4973F715)
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    state = iter(_hashmix(np.tile(pool, 2), _STATE_MIX)
+                 .astype("<u4").view("<u8").astype(np.uint64))
+    return [Generator(PCG64(_StateWords(next(state)))) if h else default_rng(s)
+            for s, h in zip(seeds, hashed)]
+
+
 class Lockstep:
     """Bookkeeping of B chains that an engine runs in lockstep.
 
@@ -374,7 +424,7 @@ class Lockstep:
         self.ladder, self.d = ladder, ladder.center.size
         self.stride = snapshot_stride
         B = len(seeds)
-        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self.rngs = _rngs(seeds)
         self.sig = np.zeros(B, dtype=np.int64)
         self.events: list[list[int]] = [[] for _ in range(B)]
         self.ksum: KahanSum | None = None   # as wide as the folded rows
@@ -470,31 +520,28 @@ class Lockstep:
         if self.thetas is not None:
             self.thetas[:, k - len(rows):k] = rows[:, :, :d].transpose(1, 0, 2)
         if k % self.stride == 0 or k == self.k_max:
-            sums = self.ksum.value
-            for b, snaps in enumerate(self.snaps):
-                snaps.append(Snapshot(
-                    k=k, theta=rows[-1, b, :d].copy(),
-                    pi_hat=None if counts is None else counts[b] / k,
-                    sigma=int(self.sig[b]), theta_sum=sums[b, :d].copy()))
+            # each field made once for the batch; each chain gets its row
+            pi_hat = [None] * len(self.snaps) if counts is None else counts / k
+            for snaps, theta, p, sigma, theta_sum in zip(
+                    self.snaps, rows[-1, :, :d].copy(), pi_hat, self.sig.tolist(),
+                    self.ksum.value[:, :d]):
+                snaps.append(Snapshot(k=k, theta=theta, pi_hat=p, sigma=sigma,
+                                      theta_sum=theta_sum))
 
     def traces(self, theta: np.ndarray, states: Sequence,
                counts: np.ndarray | None = None) -> list[RunTrace]:
         """One trace per chain, given the final iterates and sample points."""
-        total = self.ksum.value[:, :self.d]
+        none = [None] * len(self.seeds)
         return [
-            RunTrace(
-                thetas=None if self.thetas is None else self.thetas[b],
-                sigma_events=self.events[b],
-                running_sum=total[b].copy(),
-                k=self.k_max,
-                seed=seed,
-                visit_counts=None if counts is None else counts[b].copy(),
-                snapshots=self.snaps[b],
-                final_theta=theta[b].copy(),
-                final_sigma=int(self.sig[b]),
-                final_state=states[b],
-            )
-            for b, seed in enumerate(self.seeds)
+            RunTrace(thetas=thetas, sigma_events=events, running_sum=total,
+                     k=self.k_max, seed=seed, visit_counts=visits,
+                     snapshots=snaps, final_theta=final, final_sigma=sigma,
+                     final_state=state)
+            for thetas, events, total, seed, visits, snaps, final, sigma, state
+            in zip(none if self.thetas is None else self.thetas, self.events,
+                   self.ksum.value[:, :self.d], self.seeds,
+                   none if counts is None else counts.copy(), self.snaps,
+                   theta.copy(), self.sig.tolist(), states)
         ]
 
 

@@ -245,7 +245,8 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 held = min(DRAW_ROWS, length - c)
                 for b, rng in enumerate(lock.rngs):
                     rng.random(out=u_prop[b, :held])
-                    rng.bit_generator.advance(length - held)
+                    if held < length:
+                        rng.bit_generator.advance(length - held)
                     rng.random(out=u_acc[b, :held])
                     if c + held < length:
                         rng.bit_generator.advance(-length)

@@ -618,6 +618,26 @@ def test_cli_efficiency(tmp_path, capsys, monkeypatch):
     assert "need R >= 2" in capsys.readouterr().err
 
 
+def test_cli_efficiency_says_when_the_trace_ratio_is_undefined(tmp_path, capsys,
+                                                              monkeypatch):
+    # a ball too small for any step resets every chain at every iteration,
+    # so all replications end at the center and the last iterates' trace
+    # is 0; warnings are errors here, so a 0/0 would fail the run
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "eff"))
+    p = write_config(tmp_path, """\
+        mode: samc
+        k_max: 50
+        replications: 3
+        snapshot_stride: 50
+        ladder: {r0: 1.0e-300, growth: 1.0000001}
+    """)
+    assert main(["efficiency", str(p)]) == 0
+    out = capsys.readouterr().out
+    assert ("trace ratio (averaged/last): undefined, as every replication "
+            "ends at the same point\n") in out
+    assert "nan" not in out
+
+
 def test_cli_rejects_invalid_schedule_config(tmp_path, capsys):
     p = write_config(tmp_path, """\
         mode: samc

@@ -732,3 +732,93 @@ def test_snapshot_sums_match_prefix_means():
         np.testing.assert_allclose(snap.theta_sum,
                                    trace.thetas[: snap.k].sum(axis=0),
                                    rtol=1e-12, atol=1e-9)
+
+
+# seeds of 1 to 4 32-bit words, at the ends of each word count, and numpy
+# integers; the batch hashes them all in one pass
+HASHED_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127, 2**128 - 1,
+                np.int64(2**63 - 1), np.int64(12), np.uint64(2**64 - 1), np.uint64(5)]
+
+
+def lockstep_rngs(seeds):
+    ladder = TruncationLadder(center=np.zeros(1))
+    return Lockstep(GainSchedule(), ladder, 1, seeds, 1, False).rngs
+
+
+def test_batch_generators_are_default_rngs():
+    batch = lockstep_rngs(HASHED_SEEDS)
+    solo = [lockstep_rngs([seed])[0] for seed in HASHED_SEEDS]
+    for seed, *rngs in zip(HASHED_SEEDS, batch, solo):
+        ref = np.random.default_rng(seed)
+        for rng in rngs:
+            assert rng.bit_generator.state == ref.bit_generator.state, f"seed {seed!r}"
+        draws = ref.random(5).tobytes()
+        assert all(rng.random(5).tobytes() == draws for rng in rngs), f"seed {seed!r}"
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, np.float64(2.0), 2**128, 2**200],
+                         ids=["negative", "np-negative", "float", "np-float",
+                              "2**128", "2**200"])
+def test_batch_seeds_past_the_hashed_range_behave_as_in_default_rng(seed):
+    def outcome(make):
+        try:
+            return make().bit_generator.state
+        except (TypeError, ValueError) as error:
+            return type(error), str(error)
+
+    expected = outcome(lambda: np.random.default_rng(seed))
+    assert isinstance(expected, dict) == (isinstance(seed, int) and seed >= 2**128)
+    assert outcome(lambda: lockstep_rngs([3, seed])[1]) == expected
+    assert outcome(lambda: lockstep_rngs([seed])[0]) == expected
+
+
+def test_import_loads_no_numpy_random():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, samcmc, samcmc.cli; print('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False"]
+
+
+def trace_arrays(trace):
+    """Every array a trace hands out, named: its own and its snapshots'."""
+    named = [(name, getattr(trace, name))
+             for name in ("thetas", "running_sum", "visit_counts", "final_theta")]
+    for snap in trace.snapshots:
+        named += [(f"snapshot {name} at {snap.k}", getattr(snap, name))
+                  for name in ("theta", "pi_hat", "theta_sum")]
+    return [(f"seed {trace.seed}, {name}", a) for name, a in named if a is not None]
+
+
+def samc_runs(run):
+    model = SamcModel.from_chain(chain10())
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0)
+    return run(model, GainSchedule(c1=2.0), ladder, 300, snapshot_stride=100)
+
+
+BATCHES = {
+    "samc-batch": lambda: samc_runs(lambda *args, **kw: run_samc_batch(
+        *args, [4, 5, 6], store_thetas=True, **kw)),
+    "samc-solo": lambda: samc_runs(lambda *args, **kw: [run_samc(*args, 4, **kw)]),
+    "samle-batch": lambda: run_samle_batch(
+        gaussian_location_model(load_gaussian_toy()), GainSchedule(c1=0.1),
+        TruncationLadder(center=np.zeros(1), reinit_state=load_gaussian_toy()),
+        300, [4, 5, 6], snapshot_stride=100, store_thetas=True),
+}
+
+
+@pytest.mark.parametrize("run", list(BATCHES.values()), ids=list(BATCHES))
+def test_mutating_a_batch_in_place_moves_no_other_array_or_rerun(run):
+    # each chain gets rows of arrays made once per batch; writing over any
+    # one of them must leave every other array of the batch as it was
+    batch, reference = run(), run()
+    arrays = [a for trace in batch for a in trace_arrays(trace)]
+    expected = [a for trace in reference for a in trace_arrays(trace)]
+    assert len(arrays) == len(expected) > 4 * len(batch)
+    for i, (name, array) in enumerate(arrays):
+        array[...] = -7
+        for (other, a), (_, b) in zip(arrays[i + 1:], expected[i + 1:]):
+            assert a.tobytes() == b.tobytes(), f"writing {name} moved {other}"
+    for a, b in zip(reference, run()):
+        assert_same_trace(a, b, f"rerun after writes, seed {a.seed}")

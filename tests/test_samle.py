@@ -618,8 +618,8 @@ def spiking(monkeypatch, spikes):
 
     On a flat latent law every proposal is accepted, so the first latent
     is 0 from the reset point until a spike takes it to SPIKE."""
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: SpikeGenerator(spikes[seed]))
+    monkeypatch.setattr(sa, "_rngs",
+                        lambda seeds: [SpikeGenerator(spikes[seed]) for seed in seeds])
 
 
 def spike_model(grad=lambda x, theta: x[:1], guard=None):
