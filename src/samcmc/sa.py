@@ -379,8 +379,11 @@ def _rngs(seeds: Sequence) -> list:
     pool, zero-padded, and is hashed here as SeedSequence hashes it: the
     words, the cross-mix, then generate_state(4, uint64). Any other seed
     goes to default_rng, so it gets the same stream or exception as there.
+    So does a single seed, as the hash pays only from about ten.
     """
     from numpy.random import PCG64, Generator, bit_generator, default_rng
+    if len(seeds) == 1:
+        return [default_rng(seeds[0])]
     bit_generator.ISeedSequence.register(_StateWords)
     ints = [int(s) if isinstance(s, (int, np.integer)) else -1 for s in seeds]
     hashed = [0 <= n < 2 ** 128 for n in ints]
@@ -549,18 +552,20 @@ class Lockstep:
 class SaProblem:
     """A generic stochastic-approximation problem.
 
-    step(theta, x, rng) moves the sample chain one step from x, leaving
-    the theta-indexed stationary law invariant (caller's obligation), and
-    returns (x_new, H(theta, x_new)), the direction a sequence of floats.
-    It gets theta as a list of floats, which it must not modify. If
-    labels is given, labels[x] is the subregion index of sample point x,
-    from 0 to max(labels), and run_sa counts the visits. If h_norm_max
-    is given, ||H(theta, x)|| never exceeds it, and run_sa skips the
-    truncation test where Lockstep.may_truncate allows.
+    start(rng, x0, k_max) begins a run of k_max steps from sample point
+    x0, drawing from rng, and returns the run's step(theta, x). A step
+    moves the sample chain one step from x, leaving the theta-indexed
+    stationary law invariant (caller's obligation), and returns (x_new,
+    H(theta, x_new)), the direction a sequence of floats. It gets theta
+    as a list of floats, which it must not modify. If labels is given,
+    labels[x] is the subregion index of sample point x, from 0 to
+    max(labels), and run_sa counts the visits. If h_norm_max is given,
+    ||H(theta, x)|| never exceeds it, and run_sa skips the truncation
+    test where Lockstep.may_truncate allows.
     """
 
-    step: Callable[[list[float], Any, np.random.Generator],
-                   tuple[Any, Sequence[float]]]
+    start: Callable[[np.random.Generator, Any, int],
+                    Callable[[list[float], Any], tuple[Any, Sequence[float]]]]
     labels: Sequence[int] | None = None
     h_norm_max: float | None = None
 
@@ -595,19 +600,20 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
     """Run the varying-truncation recursion for k_max iterations.
 
     The run starts at (ladder.center, ladder.reinit_state) and is
-    bit-reproducible for a fixed seed. Each iteration makes one
-    problem.step call and moves theta by a_k times the direction it
-    returns; nonfinite parameter updates abort. This is the lockstep
-    engines' recursion for one chain, on Python floats: the same norms
-    and ball radii, and Lockstep's bookkeeping, with blocks of iterates
-    folded in at every snapshot. When the problem declares h_norm_max, a
-    block whose every step Lockstep.may_truncate shows to pass takes its
-    half-steps without the test.
+    bit-reproducible for a fixed seed. problem.start gets the run's
+    default_rng(seed), the reset point and k_max, and each iteration
+    makes one call of the step it returns and moves theta by a_k times
+    the direction that returns; nonfinite parameter updates abort. This
+    is the lockstep engines' recursion for one chain, on Python floats:
+    the same norms and ball radii, and Lockstep's bookkeeping, with
+    blocks of iterates folded in at every snapshot. When the problem
+    declares h_norm_max, a block whose every step Lockstep.may_truncate
+    shows to pass takes its half-steps without the test.
     """
     lock = Lockstep(schedule, ladder, k_max, [seed], snapshot_stride, store_thetas=True)
-    step, labels = problem.step, problem.labels
-    rng, radius = lock.rngs[0], float(lock.radius[0])
+    labels, radius = problem.labels, float(lock.radius[0])
     center, reinit = ladder.center.tolist(), ladder.reinit_state
+    step = problem.start(lock.rngs[0], reinit, k_max)
     theta, x = center, reinit
     counts = None if labels is None else [0] * (max(labels) + 1)
     k = 0
@@ -620,7 +626,7 @@ def run_sa(problem: SaProblem, schedule: GainSchedule, ladder: TruncationLadder,
         rows = []
         for a, b in zip(gains, thresholds):
             k += 1
-            x, h_new = step(theta, x, rng)
+            x, h_new = step(theta, x)
             half = [t + a * h for t, h in zip(theta, h_new)]
             # accept the half-step iff it moved at most b_k and stayed in K_sigma
             if skip or ((move := _dist(half, theta)) <= b

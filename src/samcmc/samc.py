@@ -107,13 +107,12 @@ def _initial_state(model: SamcModel, ladder: TruncationLadder) -> int:
     return x0
 
 
-def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
+def samc_problem(model: SamcModel) -> SaProblem:
     """One chain of run_samc_batch as a run_sa problem, with the same draws.
 
     A step returns the new state and its label's update row. Acceptance
-    is mh_accept, which decides as the batch engine's numpy exp. Each new
-    rng starts the draws afresh, and a step past the k_max iterations they
-    are drawn for raises ValueError.
+    is mh_accept, which decides as the batch engine's numpy exp. Each run
+    draws from its own rng, block by block, for the k_max steps it takes.
     """
     cdf, n, d = model.cdf, model.chain.n_states, model.m - 1
     # bisect only the entries where a row rises: the first above u < 1 is one
@@ -122,30 +121,26 @@ def samc_problem(model: SamcModel, k_max: int) -> SaProblem:
     targets, levels = ys.tolist(), cdf[xs, ys].tolist()
     ratios = model.ratio_table[xs, ys].tolist()
     labels, rows = model.chain.labels0.tolist(), model.steps[:, :d].tolist()
-    draws, owner = None, None
 
-    def blocks(rng):
+    def start(rng, x0, k_max):
         # per block of CHUNK steps: the proposal uniforms, then the acceptance ones
-        for k in range(0, k_max, CHUNK):
-            u_prop = rng.random(min(CHUNK, k_max - k))
-            yield from zip(u_prop.tolist(), rng.random(u_prop.size).tolist())
-        raise ValueError(f"iteration {k_max + 1} is past k_max = {k_max}, the "
-                         f"iterations the problem draws for")
+        blocks = (rng.random(min(CHUNK, k_max - k)) for k in range(0, k_max, CHUNK))
+        draws = (pair for u_prop in blocks
+                 for pair in zip(u_prop.tolist(), rng.random(u_prop.size).tolist()))
 
-    def step(theta, x, rng):
-        nonlocal draws, owner
-        if rng is not owner:
-            draws, owner = blocks(rng), rng
-        u_prop, u_acc = next(draws)
-        i = bisect_right(levels, u_prop, bounds[x], bounds[x + 1])
-        y = targets[i]
-        jx, jy = labels[x], labels[y]
-        # theta_x - theta_y, with the pinned component 0
-        log_r = ratios[i] + ((theta[jx] if jx < d else 0.0)
-                             - (theta[jy] if jy < d else 0.0))
-        return (y, rows[jy]) if mh_accept(log_r, u_acc) else (x, rows[jx])
+        def step(theta, x):
+            u_prop, u_acc = next(draws)
+            i = bisect_right(levels, u_prop, bounds[x], bounds[x + 1])
+            y = targets[i]
+            jx, jy = labels[x], labels[y]
+            # theta_x - theta_y, with the pinned component 0
+            log_r = ratios[i] + ((theta[jx] if jx < d else 0.0)
+                                 - (theta[jy] if jy < d else 0.0))
+            return (y, rows[jy]) if mh_accept(log_r, u_acc) else (x, rows[jx])
 
-    return SaProblem(step=step, labels=labels, h_norm_max=model.row_norm)
+        return step
+
+    return SaProblem(start=start, labels=labels, h_norm_max=model.row_norm)
 
 
 def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
@@ -156,7 +151,7 @@ def run_samc(model: SamcModel, schedule: GainSchedule, ladder: TruncationLadder,
     corresponding member of a batch, at a fraction of its cost per step.
     """
     ladder = replace(ladder, reinit_state=_initial_state(model, ladder))
-    return run_sa(samc_problem(model, k_max), schedule, ladder, k_max, seed,
+    return run_sa(samc_problem(model), schedule, ladder, k_max, seed,
                   snapshot_stride=snapshot_stride)
 
 

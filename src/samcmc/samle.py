@@ -138,16 +138,14 @@ def _reset_point(ladder: TruncationLadder) -> np.ndarray:
     return np.asarray(ladder.reinit_state, dtype=float)
 
 
-def samle_problem(model: MissingDataModel, k_max: int, *,
-                  proposal: RandomWalk | None = None,
+def samle_problem(model: MissingDataModel, *, proposal: RandomWalk | None = None,
                   sweeps: int = 1) -> SaProblem:
     """One chain of run_samle_batch as a run_sa problem, with the same draws.
 
-    Blocks are drawn by _draw_block, as in the batch. Each new rng restarts
-    the draws and takes the point it starts from as the reset point; a
-    step past the k_max iterations it draws for raises ValueError, as does
-    a proposal step that overflows a block's offsets. A step runs the
-    sweeps and returns the new point and the gradient there.
+    Each run draws its blocks from its own rng by _draw_block, as in the
+    batch, with the point it starts from as the reset point; a proposal
+    step that overflows a block's offsets raises ValueError. A step runs
+    the sweeps and returns the new point and the gradient there.
 
     Two sweeps are scored per model call, on four rows: the latents x,
     their proposal y and the next sweep's proposal from each. So the call
@@ -164,65 +162,63 @@ def samle_problem(model: MissingDataModel, k_max: int, *,
     proposal = proposal or RandomWalk(step=1.0, bounds=model.x_space)
     box = proposal.bounds or model.x_space
     predictive, score = model.predictive_log_density, model.grad_complete_loglik
-    owner = x0 = offsets = uniforms = reflect = rows = th = pair = th2 = th1 = None
-    k = end = 0
     firsts = range(0, sweeps, 2)        # the first sweep of each pair
 
-    def step(theta, x, rng):
-        nonlocal owner, x0, offsets, uniforms, reflect, rows, th, pair, th2, th1, k, end
-        if rng is not owner:
-            owner, x0, k, end = rng, x, 0, 0
-            # x, y and the next sweep's proposals from both, each at theta
-            rows, th = np.empty((4, x.size)), np.empty((4, len(theta)))
-            pair, th2, th1 = rows[:2], th[:2], th[:1]
-        if k == end:        # the block's draws are spent
-            if k == k_max:
-                raise ValueError(f"iteration {k + 1} is past k_max = {k_max}, "
-                                 f"the iterations the problem draws for")
-            z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
-            end = k + len(z)
-            us = np.empty(z.shape[:3])
-            reflect = _draw_block([rng], z, us, proposal.step, k, box, x[None], x0)
-            offsets = iter(z.reshape(-1, x.size))
-            uniforms = iter(us[:, :, 0].tolist())
-        k += 1
-        th[:] = theta
-        us, lp_x = next(uniforms), None
-        for s in firsts:        # sweeps s and s + 1
-            y = x + next(offsets)
-            if reflect:
-                y = reflect_into_box(y, box)
-            if s + 1 == sweeps:     # an odd last sweep, scored alone
-                if lp_x is None:
-                    pair[0], pair[1] = x, y
-                    lp_x, lp_y = predictive(pair, th2).tolist()
-                else:
-                    lp_y = predictive(y[None], th1).tolist()[0]
-                if mh_accept(lp_y - lp_x, us[s]):
-                    x = y
-                break
-            rows[0], rows[1] = x, y
-            np.add(pair, next(offsets), out=rows[2:])
-            if reflect:
-                rows[2:] = reflect_into_box(rows[2:], box)
-            try:
-                lp = predictive(rows, th).tolist()
-            except Exception:   # sweep by sweep: it may fail on the dropped row
-                lp = predictive(pair, th2).tolist() + [None, None]
-            j = 1 if mh_accept(lp[1] - lp[0], us[s]) else 0
-            if lp[2] is None:
-                lp[j + 2] = predictive(rows[j + 2:j + 3], th1).tolist()[0]
-            if mh_accept(lp[j + 2] - lp[j], us[s + 1]):
-                j += 2
-            if j:
-                x = y if j == 1 else rows[j].copy()
-            lp_x = lp[j]
-        grad = score(x[None], th1).tolist()[0]
-        if not all(map(isfinite, grad)):
-            raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
-        return x, grad
+    def start(rng, x0, k_max):
+        offsets = uniforms = reflect = rows = th = pair = th2 = th1 = None
+        k = 0
 
-    return SaProblem(step=step)
+        def step(theta, x):
+            nonlocal offsets, uniforms, reflect, rows, th, pair, th2, th1, k
+            if k % CHUNK == 0:      # the block's draws are spent
+                z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
+                us = np.empty(z.shape[:3])
+                reflect = _draw_block([rng], z, us, proposal.step, k, box, x[None], x0)
+                offsets = iter(z.reshape(-1, x.size))
+                uniforms = iter(us[:, :, 0].tolist())
+                # x, y and the next sweep's proposals from both, each at theta
+                rows, th = np.empty((4, x.size)), np.empty((4, len(theta)))
+                pair, th2, th1 = rows[:2], th[:2], th[:1]
+            k += 1
+            th[:] = theta
+            us, lp_x = next(uniforms), None
+            for s in firsts:        # sweeps s and s + 1
+                y = x + next(offsets)
+                if reflect:
+                    y = reflect_into_box(y, box)
+                if s + 1 == sweeps:     # an odd last sweep, scored alone
+                    if lp_x is None:
+                        pair[0], pair[1] = x, y
+                        lp_x, lp_y = predictive(pair, th2).tolist()
+                    else:
+                        lp_y = predictive(y[None], th1).tolist()[0]
+                    if mh_accept(lp_y - lp_x, us[s]):
+                        x = y
+                    break
+                rows[0], rows[1] = x, y
+                np.add(pair, next(offsets), out=rows[2:])
+                if reflect:
+                    rows[2:] = reflect_into_box(rows[2:], box)
+                try:
+                    lp = predictive(rows, th).tolist()
+                except Exception:   # sweep by sweep: it may fail on the dropped row
+                    lp = predictive(pair, th2).tolist() + [None, None]
+                j = 1 if mh_accept(lp[1] - lp[0], us[s]) else 0
+                if lp[2] is None:
+                    lp[j + 2] = predictive(rows[j + 2:j + 3], th1).tolist()[0]
+                if mh_accept(lp[j + 2] - lp[j], us[s + 1]):
+                    j += 2
+                if j:
+                    x = y if j == 1 else rows[j].copy()
+                lp_x = lp[j]
+            grad = score(x[None], th1).tolist()[0]
+            if not all(map(isfinite, grad)):
+                raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
+            return x, grad
+
+        return step
+
+    return SaProblem(start=start)
 
 
 @np.errstate(over="ignore")
@@ -241,7 +237,7 @@ def run_samle(model: MissingDataModel, schedule: GainSchedule,
     errors. Overflow warnings are off, as in the batch: a nonfinite
     gradient or half-step raises an error naming the iteration.
     """
-    problem = samle_problem(model, k_max, proposal=proposal, sweeps=sweeps)
+    problem = samle_problem(model, proposal=proposal, sweeps=sweeps)
     ladder = replace(ladder, reinit_state=_reset_point(ladder))
     return run_sa(problem, schedule, ladder, k_max, seed,
                   snapshot_stride=snapshot_stride)

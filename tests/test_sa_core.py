@@ -47,6 +47,12 @@ GOLDEN_RUN_SA_TRUNCATING = (
     "5bc252034f6ee19fc82a4e51a5b99a99bc7324902cc5dc888bcf5b4366450e8d")
 
 
+def rng_problem(step, **fields):
+    """A problem whose every run calls step(theta, x, rng) with its own rng."""
+    return SaProblem(start=lambda rng, x0, k_max: lambda th, x: step(th, x, rng),
+                     **fields)
+
+
 def noisy_mean_step(th, x, rng):
     """A standard normal draw and H = x - theta there."""
     x = rng.standard_normal()
@@ -285,7 +291,7 @@ def test_ladder_validation():
 def test_run_sa_contraction():
     # H(theta, x) = -theta with no noise: |theta_k| is nonincreasing and
     # converges to the root at 0
-    problem = SaProblem(step=lambda th, x, rng: (x, [-th[0]]))
+    problem = rng_problem(lambda th, x, rng: (x, [-th[0]]))
     ladder = TruncationLadder(center=np.array([1.0]), r0=10.0,
                               reinit_state=None)
     trace = run_sa(problem, GainSchedule(), ladder, 2000, seed=0)
@@ -296,7 +302,7 @@ def test_run_sa_contraction():
 
 
 def test_run_sa_zero_field_is_fixed_point():
-    problem = SaProblem(step=lambda th, x, rng: (rng.random(), [0.0]))
+    problem = rng_problem(lambda th, x, rng: (rng.random(), [0.0]))
     ladder = TruncationLadder(center=np.array([0.7]), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 500, seed=1)
     assert np.all(trace.thetas == 0.7)
@@ -304,7 +310,7 @@ def test_run_sa_zero_field_is_fixed_point():
 
 
 def test_run_sa_deterministic_reruns():
-    problem = SaProblem(step=noisy_mean_step)
+    problem = rng_problem(noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     a = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
     b = run_sa(problem, GainSchedule(), ladder, 3000, seed=42)
@@ -318,7 +324,7 @@ def test_run_sa_aborts_on_nonfinite_update():
     def step(th, x, rng):
         return x + 1, [math.inf] if x + 1 >= 3 else [0.1]
 
-    problem = SaProblem(step=step)
+    problem = rng_problem(step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0)
     with pytest.raises(NonFiniteIterateError, match="iteration 3"):
         run_sa(problem, GainSchedule(), ladder, 100, seed=0)
@@ -326,7 +332,7 @@ def test_run_sa_aborts_on_nonfinite_update():
 
 def test_run_sa_truncation_resets_to_initial_pair():
     # a huge update direction trips the threshold immediately
-    problem = SaProblem(step=lambda th, x, rng: (x, [100.0]))
+    problem = rng_problem(lambda th, x, rng: (x, [100.0]))
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5, reinit_state="x0")
     trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
     assert trace.sigma_events == [1, 2, 3, 4, 5]
@@ -348,7 +354,7 @@ def test_run_sa_steps_once_per_iteration_and_moves_by_the_returned_direction():
 
     schedule = GainSchedule(c1=2.0)
     ladder = TruncationLadder(center=[0.25], r0=0.1, growth=1.02, reinit_state=0)
-    trace = run_sa(SaProblem(step=step), schedule, ladder, 3000, seed=5,
+    trace = run_sa(rng_problem(step), schedule, ladder, 3000, seed=5,
                    snapshot_stride=700)
     assert len(calls) == 3000
     # resets in the first fold block and past it
@@ -368,7 +374,7 @@ def test_run_sa_steps_once_per_iteration_and_moves_by_the_returned_direction():
 def test_run_sa_final_state_does_not_alias_the_reset_point():
     # a truncation on the last iteration leaves x at the reset point; the
     # trace must hold a copy, or mutating it would change the ladder
-    problem = SaProblem(step=lambda th, x, rng: (x + 1.0, [100.0]))
+    problem = rng_problem(lambda th, x, rng: (x + 1.0, [100.0]))
     ladder = TruncationLadder(center=np.zeros(1), r0=0.5,
                               reinit_state=np.zeros(2))
     trace = run_sa(problem, GainSchedule(), ladder, 5, seed=0)
@@ -389,8 +395,8 @@ def test_run_sa_bound_at_the_norm_of_every_step_changes_no_bit(c1, c2, r0):
     # at c1 = c2 = 2 the move test fails at k = 1, as a_1 * 1.25 > b_1; in
     # both the ball of radius r0 * 1.2**s truncates the walk now and then,
     # also after 50-step blocks that skipped the test
-    problem = SaProblem(
-        step=lambda th, x, rng: (j := int(rng.integers(10)), BOUNDED_STEPS[j]),
+    problem = rng_problem(
+        lambda th, x, rng: (j := int(rng.integers(10)), BOUNDED_STEPS[j]),
         h_norm_max=1.25)
     ladder = TruncationLadder(center=np.zeros(3), r0=r0, growth=1.2, reinit_state=0)
     schedule = GainSchedule(c1=c1, c2=c2)
@@ -451,7 +457,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
     # at k = 1 the gain is 1 and the move threshold 2: a zero move stays in
     # a tiny ball, a move of 0.6 leaves a ball of radius 0.5, and one of 3
     # stays in a ball of radius 100 but is too fast
-    problem = SaProblem(step=lambda th, x, rng: (x + 1, [h]))
+    problem = rng_problem(lambda th, x, rng: (x + 1, [h]))
     start = 0.2 * r0
     ladder = TruncationLadder(center=[start], r0=r0, reinit_state=0)
     trace = run_sa(problem, GainSchedule(), ladder, 1, seed=0)
@@ -464,7 +470,7 @@ def test_run_sa_accepts_or_truncates(h, r0, events):
 
 
 def test_run_sa_golden_digests():
-    problem = SaProblem(step=noisy_mean_step)
+    problem = rng_problem(noisy_mean_step)
     plain = run_sa(problem, GainSchedule(),
                    TruncationLadder(center=np.zeros(1), reinit_state=0.0),
                    3000, seed=42, snapshot_stride=500)
@@ -522,7 +528,7 @@ def test_golden_digests_hold_at_lower_cpu_dispatch_levels():
 
 
 def run_sa_with(stride):
-    problem = SaProblem(step=lambda th, x, rng: (x, [-th[0]]))
+    problem = rng_problem(lambda th, x, rng: (x, [-th[0]]))
     run_sa(problem, GainSchedule(),
            TruncationLadder(center=np.zeros(1), reinit_state=0.0),
            10, seed=0, snapshot_stride=stride)
@@ -623,7 +629,7 @@ def test_trajectory_average_light_trace():
 
 
 def test_running_sum_matches_average():
-    problem = SaProblem(step=noisy_mean_step)
+    problem = rng_problem(noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 20000, seed=9)
     lhs = trajectory_average(trace, 0) * trace.k
@@ -723,7 +729,7 @@ def test_kahan_add_rows_of_wide_rows_matches_one_add_per_row(layout):
 
 
 def test_snapshot_sums_match_prefix_means():
-    problem = SaProblem(step=noisy_mean_step)
+    problem = rng_problem(noisy_mean_step)
     ladder = TruncationLadder(center=np.zeros(1), reinit_state=0.0)
     trace = run_sa(problem, GainSchedule(), ladder, 5000, seed=3,
                    snapshot_stride=1000)

@@ -28,7 +28,7 @@ from samcmc import (
 )
 from samcmc import sa, samc
 from samcmc.sa import ROW_LOOP_CELLS
-from test_samle import assert_same_trace, trace_digest
+from test_samle import assert_same_trace, steps_in_turn, trace_digest
 
 THETA_STAR = np.array([math.log(6 / 34), math.log(15 / 34)])
 
@@ -429,13 +429,26 @@ class Draws:
         return np.array(block)
 
 
-@pytest.mark.parametrize("k_max", [1000, samc.CHUNK])
-def test_problem_run_past_its_k_max_names_both(model, k_max):
-    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
-    with pytest.raises(ValueError,
-                       match=rf"iteration {k_max + 1} is past k_max = {k_max},"):
-        run_sa(samc.samc_problem(model, k_max), GainSchedule(), ladder,
-               2 * k_max, seed=0)
+def test_one_problem_serves_runs_of_any_length(model):
+    # each run draws for its own length: 5,000 steps, 9,000 (past
+    # samc.CHUNK) and 5,000 again, each equal to its batch members
+    problem = samc.samc_problem(model)
+    ladder = TruncationLadder(center=np.zeros(2), r0=0.5, reinit_state=0)
+    assert 5000 < samc.CHUNK < 9000
+    for k_max in (5000, 9000, 5000):
+        batch = run_samc_batch(model, GainSchedule(), ladder, k_max, [3, 4],
+                               store_thetas=True)
+        for member in batch:
+            solo = run_sa(problem, GainSchedule(), ladder, k_max, member.seed)
+            assert solo.sigma_events, "the ladder must truncate"
+            assert_same_trace(solo, member, f"k_max {k_max}, seed {member.seed}")
+
+
+def test_runs_of_one_problem_stepped_in_turn_match_runs_made_alone(model):
+    # two runs started before either steps keep their own draws, past samc.CHUNK
+    problem = samc.samc_problem(model)
+    alone = [steps_in_turn(problem, [seed], 0, 9000, [0.3, -0.2])[0] for seed in (5, 6)]
+    assert steps_in_turn(problem, [5, 6], 0, 9000, [0.3, -0.2]) == alone
 
 
 def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
@@ -447,13 +460,14 @@ def test_solo_accept_decision_follows_numpy_exp_at_near_ties():
     model = SamcModel.from_chain(FiniteChainSpec(
         n_states=2, log_psi=np.zeros(2), labels=np.array([1, 2]),
         proposal=np.array([[0.0, 1.0], [1.0, 0.0]]), pi=np.full(2, 0.5)))
-    step = samc.samc_problem(model, 1).step
+    problem = samc.samc_problem(model)
     log_r = -np.random.default_rng(3).exponential(2.0, 20_000)
     engine_exp = np.exp(log_r)
     libm_exp = np.array([math.exp(v) for v in log_r.tolist()])
 
     def moved(i, u):
-        return step([float(log_r[i])], 0, Draws([0.5], [u]))[0] == 1
+        step = problem.start(Draws([0.5], [u]), 0, 1)
+        return step([float(log_r[i])], 0)[0] == 1
 
     for i in range(300):
         e = float(engine_exp[i])
@@ -702,7 +716,7 @@ def test_solo_skip_changes_no_bit(case):
     """A declared bound on ||H|| only skips truncation tests that pass."""
     make_chain, r0, growth, x0, schedule, k_max = SOLO_SKIP_CASES[case]
     chain = make_chain()
-    problem = samc.samc_problem(SamcModel.from_chain(chain), k_max)
+    problem = samc.samc_problem(SamcModel.from_chain(chain))
     ladder = TruncationLadder(center=np.zeros(chain.m - 1), r0=r0,
                               growth=growth, reinit_state=x0)
     for seed in (3, 4):
@@ -716,26 +730,31 @@ def test_solo_skip_changes_no_bit(case):
 def count_dist_calls(monkeypatch, problem, block):
     """Patch sa._dist to count its calls per block of iterations."""
     calls, k = collections.Counter(), 0
-    dist, step = sa._dist, problem.step
+    dist = sa._dist
 
     def counting_dist(u, v):
         calls[(k - 1) // block] += 1
         return dist(u, v)
 
-    def counting_step(theta, x, rng):
-        nonlocal k
-        k += 1
-        return step(theta, x, rng)
+    def counting_start(rng, x0, k_max):
+        step = problem.start(rng, x0, k_max)
+
+        def counting_step(theta, x):
+            nonlocal k
+            k += 1
+            return step(theta, x)
+
+        return counting_step
 
     monkeypatch.setattr(sa, "_dist", counting_dist)
-    return calls, replace(problem, step=counting_step)
+    return calls, replace(problem, start=counting_start)
 
 
 def test_solo_run_skips_the_test_only_where_no_step_may_fail(monkeypatch):
     # b_k/a_k passes the longest update row's norm, 1.0957, near k = 9,870:
     # of the 1000-step blocks, those from k = 10,000 on skip the test
     model = SamcModel.from_chain(move_binds_chain())
-    problem = samc.samc_problem(model, 20_000)
+    problem = samc.samc_problem(model)
     calls, problem = count_dist_calls(monkeypatch, problem, 1000)
     ladder = TruncationLadder(center=np.zeros(2), r0=1e6, reinit_state=9)
     trace = run_sa(problem, MOVE_BINDS_SCHEDULE, ladder, 20_000, 31)
@@ -747,7 +766,7 @@ def test_solo_run_skips_the_test_only_where_no_step_may_fail(monkeypatch):
 def test_solo_run_at_m1_skips_every_test(monkeypatch, m1_model):
     # no free component: the bound holds at once and no norm is taken;
     # the suite's filter turns any numpy warning into an error
-    calls, problem = count_dist_calls(monkeypatch, samc.samc_problem(m1_model, 3000), 1)
+    calls, problem = count_dist_calls(monkeypatch, samc.samc_problem(m1_model), 1)
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
     trace = run_sa(problem, GainSchedule(), ladder, 3000, 8)
     assert not calls and trace.final_theta.shape == (0,)

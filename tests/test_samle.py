@@ -449,18 +449,57 @@ def test_solo_run_matches_batch_member_across_shapes(toy_y, shape, sweeps,
 
 
 def test_one_problem_serves_many_runs(toy_y):
-    # a new rng restarts the problem's draws and its reset point, so one
+    # each run starts its own draws from its own reset point, so one
     # problem replays each batch member in turn, and the first again
     model, proposal, k_max = narrow_box_model(toy_y), RandomWalk(step=0.4), 5000
     schedule = GainSchedule(c1=0.1)
     ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
                               reinit_state=toy_y.copy())
-    problem = samle.samle_problem(model, k_max, proposal=proposal, sweeps=2)
+    problem = samle.samle_problem(model, proposal=proposal, sweeps=2)
     batch = run_samle_batch(model, schedule, ladder, k_max, [3, 4],
                             proposal=proposal, sweeps=2, store_thetas=True)
     for member in batch + batch[:1]:
         solo = run_sa(problem, schedule, ladder, k_max, member.seed)
         assert_same_trace(solo, member, f"seed {member.seed}")
+
+
+def test_one_problem_serves_runs_of_any_length(toy_y):
+    # each run draws for its own length: 1,500 iterations, 3,000 (past
+    # samle.CHUNK) and 1,500 again, each equal to its batch members
+    model, proposal = gaussian_location_model(toy_y), RandomWalk(step=0.4)
+    schedule = GainSchedule(c1=0.1)
+    ladder = TruncationLadder(center=np.zeros(1), r0=0.6, growth=1.1,
+                              reinit_state=toy_y.copy())
+    problem = samle.samle_problem(model, proposal=proposal, sweeps=2)
+    assert 1500 < samle.CHUNK < 3000
+    for k_max in (1500, 3000, 1500):
+        batch = run_samle_batch(model, schedule, ladder, k_max, [3, 4],
+                                proposal=proposal, sweeps=2, store_thetas=True)
+        for member in batch:
+            solo = run_sa(problem, schedule, ladder, k_max, member.seed)
+            assert solo.sigma_events, "the ladder must truncate"
+            assert_same_trace(solo, member, f"k_max {k_max}, seed {member.seed}")
+
+
+def steps_in_turn(problem, seeds, x0, k_max, theta):
+    """Start one run of problem from x0 per seed, then step the runs in
+    turn at a fixed theta; each run's (point bytes, H) after every step."""
+    steps = [problem.start(np.random.default_rng(seed), x0, k_max) for seed in seeds]
+    xs, paths = [x0] * len(seeds), [[] for _ in seeds]
+    for _ in range(k_max):
+        for i, step in enumerate(steps):
+            xs[i], h = step(theta, xs[i])
+            paths[i].append((np.asarray(xs[i]).tobytes(), list(h)))
+    return paths
+
+
+def test_runs_of_one_problem_stepped_in_turn_match_runs_made_alone(toy_y):
+    # two runs started before either steps keep their own draws and
+    # buffers, past samle.CHUNK; the narrow box makes them reflect
+    problem = samle.samle_problem(narrow_box_model(toy_y),
+                                  proposal=RandomWalk(step=0.4), sweeps=2)
+    alone = [steps_in_turn(problem, [seed], toy_y, 3000, [0.5])[0] for seed in (5, 6)]
+    assert steps_in_turn(problem, [5, 6], toy_y, 3000, [0.5]) == alone
 
 
 def counting(model, calls, threads=None):
@@ -541,15 +580,6 @@ def test_model_faults_on_the_dropped_proposal_leave_solo_runs_alone(
                                         f"seed {member.seed}")
     # every pair's call failed once, on the proposal it dropped
     assert len(dropped) == 2 * 600 * (sweeps // 2)
-
-
-@pytest.mark.parametrize("k_max", [1000, samle.CHUNK])
-def test_problem_run_past_its_k_max_names_both(toy_y, k_max):
-    problem = samle.samle_problem(gaussian_location_model(toy_y), k_max)
-    ladder = TruncationLadder(center=np.zeros(1), reinit_state=toy_y.copy())
-    with pytest.raises(ValueError,
-                       match=rf"iteration {k_max + 1} is past k_max = {k_max},"):
-        run_sa(problem, GainSchedule(c1=0.1), ladder, 3 * k_max, seed=0)
 
 
 BLOCK_END_CASES = [(shape, sweeps) for shape in ("toy", "narrow-box")
