@@ -486,8 +486,8 @@ class Lockstep:
         squares, whose relative error is at most (d - 1) * 2**-53. While no
         chain truncates, radii stay put and each chain stays within the
         summed step bounds of its start, so by induction none truncates,
-        and every half-step is finite. NaN or inf anywhere makes the test
-        run.
+        and every half-step is finite. No norm may reach 2**511, whose
+        square overflows; NaN or inf anywhere makes the test run.
         """
         d = self.d
         pad = 1.0 + (d + 33) * 2.0 ** -50
@@ -495,8 +495,8 @@ class Lockstep:
                                          + gains.sum() * h_norm_max)
         bounds = (gains * h_norm_max + 2.0 ** -52 * theta_norm) * pad
         dev = np.linalg.norm(theta - self.ladder.center, axis=1)
-        return not (np.all(bounds < thresholds)
-                    and np.all((dev + bounds.sum()) * pad < self.radius))
+        return not (np.all(bounds < thresholds) and np.all(
+            (dev + bounds.sum()) * pad < np.minimum(self.radius, 2.0 ** 511)))
 
     def reset(self, mask: np.ndarray, k: int) -> None:
         """Count a truncation at iteration k for every chain in mask."""

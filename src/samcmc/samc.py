@@ -21,8 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .oracle import FiniteChainSpec
-from .sa import (GainSchedule, Lockstep, RunTrace, SaProblem, TruncationLadder,
-                 mh_accept, run_sa)
+from .sa import (GainSchedule, Lockstep, NonFiniteIterateError, RunTrace,
+                 SaProblem, TruncationLadder, mh_accept, run_sa)
 
 __all__ = [
     "SamcModel",
@@ -181,7 +181,7 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
     when Lockstep.may_truncate, the bound run_sa skips by, shows that every
     chain passes both its move and its ball test there. The test takes the
     iterate before the step: the realized difference, not a*update,
-    matches run_sa bit for bit.
+    matches run_sa bit for bit, and a nonfinite half-step raises as there.
     """
     m, n = model.m, model.chain.n_states
     x0 = _initial_state(model, ladder)
@@ -281,6 +281,10 @@ def run_samc_batch(model: SamcModel, schedule: GainSchedule,
                 if test:
                     reset = lock.outside(free_rows[i + 1], free_rows[i], b_i)
                     if reset is not None:
+                        bad = ~np.isfinite(free_rows[i + 1]).all(axis=1)
+                        if bad.any():   # a nonfinite half-step fails the test
+                            raise NonFiniteIterateError(
+                                k + i + 1, free_rows[i + 1][bad.argmax()])
                         np.copyto(ext_rows[i + 1], reinit_ext, where=reset[:, None])
                         np.copyto(cur, start, where=reset)
                         lock.reset(reset, k + i + 1)

@@ -142,10 +142,11 @@ def samle_problem(model: MissingDataModel, *, proposal: RandomWalk | None = None
                   sweeps: int = 1) -> SaProblem:
     """One chain of run_samle_batch as a run_sa problem, with the same draws.
 
-    Each run draws its blocks from its own rng by _draw_block, as in the
-    batch, with the point it starts from as the reset point; a proposal
-    step that overflows a block's offsets raises ValueError. A step runs
-    the sweeps and returns the new point and the gradient there.
+    Each run is a generator sent (theta, x) per step, which runs the
+    sweeps and returns the new point and the gradient there. It draws its
+    blocks from its own rng by _draw_block, as in the batch, with the
+    point it starts from as the reset point; a proposal step that
+    overflows a block's offsets raises ValueError.
 
     Two sweeps are scored per model call, on four rows: the latents x,
     their proposal y and the next sweep's proposal from each. So the call
@@ -153,7 +154,7 @@ def samle_problem(model: MissingDataModel, *, proposal: RandomWalk | None = None
     it raises, the pair is rescored sweep by sweep, so what the model
     returns or raises on that row never reaches the chain; a warning it
     gives there still prints unless warnings are errors. An odd last sweep
-    is scored alone, with x if it is the first. So a step makes
+    scores the latents with their proposal, so a step makes
     (sweeps + 1) // 2 + 1 model calls, the gradient last, each row made as
     in the batch; sample points are never modified.
     """
@@ -165,58 +166,50 @@ def samle_problem(model: MissingDataModel, *, proposal: RandomWalk | None = None
     firsts = range(0, sweeps, 2)        # the first sweep of each pair
 
     def start(rng, x0, k_max):
-        offsets = uniforms = reflect = rows = th = pair = th2 = th1 = None
-        k = 0
+        steps = run(rng, x0, k_max)
+        next(steps)
+        return lambda theta, x: steps.send((theta, x))
 
-        def step(theta, x):
-            nonlocal offsets, uniforms, reflect, rows, th, pair, th2, th1, k
-            if k % CHUNK == 0:      # the block's draws are spent
-                z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
-                us = np.empty(z.shape[:3])
-                reflect = _draw_block([rng], z, us, proposal.step, k, box, x[None], x0)
-                offsets = iter(z.reshape(-1, x.size))
-                uniforms = iter(us[:, :, 0].tolist())
-                # x, y and the next sweep's proposals from both, each at theta
-                rows, th = np.empty((4, x.size)), np.empty((4, len(theta)))
-                pair, th2, th1 = rows[:2], th[:2], th[:1]
-            k += 1
-            th[:] = theta
-            us, lp_x = next(uniforms), None
-            for s in firsts:        # sweeps s and s + 1
-                y = x + next(offsets)
-                if reflect:
-                    y = reflect_into_box(y, box)
-                if s + 1 == sweeps:     # an odd last sweep, scored alone
-                    if lp_x is None:
-                        pair[0], pair[1] = x, y
+    def run(rng, x0, k_max):
+        theta, x = yield
+        # x, y and the next sweep's proposals from both, each at theta
+        rows, th = np.empty((4, x.size)), np.empty((4, len(theta)))
+        pair, th2, th1 = rows[:2], th[:2], th[:1]
+        for k in range(0, k_max, CHUNK):
+            z = np.empty((min(CHUNK, k_max - k), sweeps, 1, x.size))
+            u = np.empty(z.shape[:3])
+            reflect = _draw_block([rng], z, u, proposal.step, k, box, x[None], x0)
+            zs = iter(z.reshape(-1, x.size))
+            for i, us in enumerate(u[:, :, 0].tolist(), k + 1):
+                th[:] = theta
+                for s in firsts:        # sweeps s and s + 1
+                    y = x + next(zs)
+                    if reflect:
+                        y = reflect_into_box(y, box)
+                    pair[0], pair[1] = x, y
+                    if s + 1 == sweeps:     # an odd last sweep
                         lp_x, lp_y = predictive(pair, th2).tolist()
-                    else:
-                        lp_y = predictive(y[None], th1).tolist()[0]
-                    if mh_accept(lp_y - lp_x, us[s]):
-                        x = y
-                    break
-                rows[0], rows[1] = x, y
-                np.add(pair, next(offsets), out=rows[2:])
-                if reflect:
-                    rows[2:] = reflect_into_box(rows[2:], box)
-                try:
-                    lp = predictive(rows, th).tolist()
-                except Exception:   # sweep by sweep: it may fail on the dropped row
-                    lp = predictive(pair, th2).tolist() + [None, None]
-                j = 1 if mh_accept(lp[1] - lp[0], us[s]) else 0
-                if lp[2] is None:
-                    lp[j + 2] = predictive(rows[j + 2:j + 3], th1).tolist()[0]
-                if mh_accept(lp[j + 2] - lp[j], us[s + 1]):
-                    j += 2
-                if j:
-                    x = y if j == 1 else rows[j].copy()
-                lp_x = lp[j]
-            grad = score(x[None], th1).tolist()[0]
-            if not all(map(isfinite, grad)):
-                raise NonFiniteGradientError(k, np.array(theta), x, np.array(grad))
-            return x, grad
-
-        return step
+                        if mh_accept(lp_y - lp_x, us[s]):
+                            x = y
+                        break
+                    np.add(pair, next(zs), out=rows[2:])
+                    if reflect:
+                        rows[2:] = reflect_into_box(rows[2:], box)
+                    try:
+                        lp = predictive(rows, th).tolist()
+                    except Exception:   # sweep by sweep: it may fail on the dropped row
+                        lp = predictive(pair, th2).tolist() + [None, None]
+                    j = 1 if mh_accept(lp[1] - lp[0], us[s]) else 0
+                    if lp[2] is None:
+                        lp[j + 2] = predictive(rows[j + 2:j + 3], th1).tolist()[0]
+                    if mh_accept(lp[j + 2] - lp[j], us[s + 1]):
+                        j += 2
+                    if j:
+                        x = y if j == 1 else rows[j].copy()
+                grad = score(x[None], th1).tolist()[0]
+                if not all(map(isfinite, grad)):
+                    raise NonFiniteGradientError(i, np.array(theta), x, np.array(grad))
+                theta, x = yield x, grad
 
     return SaProblem(start=start)
 

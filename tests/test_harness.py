@@ -8,6 +8,7 @@ import inspect
 import json
 import math
 import re
+import runpy
 import textwrap
 import types
 from pathlib import Path
@@ -146,6 +147,23 @@ def test_benchmark_hooks_resolve():
             except TypeError as exc:
                 pytest.fail(f"{script.name}:{call.lineno}: samcmc."
                             f"{'.'.join(names)}(...) no longer binds: {exc}")
+
+
+def test_mutant_catalogue_is_current():
+    # tools/mutants.py reports an entry stale when its snippet or a named
+    # test is gone, but the suite does not run it; an edit that makes an
+    # entry stale should fail here first
+    root = Path(__file__).resolve().parent.parent
+    catalogue = runpy.run_path(str(root / "tools" / "mutants.py"))["CATALOGUE"]
+    names = [mutant.name for mutant in catalogue]
+    assert len(set(names)) == len(names), "entry names repeat"
+    for mutant in catalogue:
+        assert (root / mutant.path).read_text().count(mutant.snippet) == 1, mutant.name
+        for test in mutant.tests:
+            path, name = test.split("[")[0].split("::")
+            defined = {node.name for node in ast.walk(ast.parse((root / path).read_text()))
+                       if isinstance(node, ast.FunctionDef)}
+            assert name in defined, (mutant.name, test)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from samcmc import (
     FiniteChainSpec,
     GainSchedule,
+    NonFiniteIterateError,
     RunTrace,
     SamcModel,
     TruncationLadder,
@@ -770,3 +772,36 @@ def test_solo_run_at_m1_skips_every_test(monkeypatch, m1_model):
     ladder = TruncationLadder(center=np.zeros(0), reinit_state=0)
     trace = run_sa(problem, GainSchedule(), ladder, 3000, 8)
     assert not calls and trace.final_theta.shape == (0,)
+
+
+@pytest.mark.parametrize("eta", [np.nan, -np.inf], ids=["nan", "-inf"])
+def test_both_engines_raise_on_a_nonfinite_half_step(model, eta):
+    # a NaN or -inf gain exponent makes the half-step of iteration 2
+    # nonfinite; the batch must raise as run_sa does, not reset the chains
+    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    args = (model, GainSchedule(eta=eta), ladder, 50)
+    failures = []
+    for run in (lambda: run_samc(*args, seed=1),
+                lambda: run_samc_batch(*args, [1, 2])):
+        with (pytest.raises(NonFiniteIterateError,
+                            match="at iteration 2: component 0 =") as info,
+              warnings.catch_warnings()):
+            # the batch scales the pinned component's 0 by an infinite gain,
+            # which warns before the error this test is about
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run()
+        failures.append(str(info.value))
+    assert failures[0] == failures[1]
+
+
+def test_solo_run_matches_batch_member_where_norms_overflow(model):
+    # at gain constants near float max, half-steps near 1e306 pass the
+    # bound on their steps, but their squared norms overflow to inf and
+    # fail the test; the batch may not skip it there
+    ladder = TruncationLadder(center=np.zeros(2), reinit_state=0)
+    args = (model, GainSchedule(c1=1e308, c2=1e308), ladder, 400)
+    with np.errstate(over="ignore"):    # the skip bound's sum overflows to inf
+        solo = run_samc(*args, seed=1)
+    member = run_samc_batch(*args, [1], store_thetas=True)[0]
+    assert len(solo.sigma_events) == 400
+    assert_same_trace(solo, member, "c1 = c2 = 1e308, seed 1")

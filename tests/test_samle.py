@@ -527,11 +527,11 @@ def test_solo_run_scores_two_sweeps_per_model_call(toy_y, sweeps):
     run_samle(model, GainSchedule(c1=0.1), ladder, 300, seed=1,
               proposal=RandomWalk(step=0.4), sweeps=sweeps)
     # a pair of sweeps scores the latents, their proposal and the next
-    # sweep's proposal from each in one call; an odd last sweep scores its
-    # proposal alone, or with the latents if it is the first sweep
+    # sweep's proposal from each in one call; an odd last sweep scores the
+    # latents with their proposal
     pairs, odd = divmod(sweeps, 2)
     per_iteration = ([("density", 4)] * pairs
-                     + [("density", 2 if sweeps == 1 else 1)] * odd
+                     + [("density", 2)] * odd
                      + [("grad", 1)])
     assert calls == per_iteration * 300
 

@@ -78,8 +78,8 @@ CATALOGUE = [
     Mutant(
         "may-truncate-never",
         "src/samcmc/sa.py",
-        "        return not (np.all(bounds < thresholds)\n",
-        "        return False and not (np.all(bounds < thresholds)\n",
+        "        return not (np.all(bounds < thresholds) and np.all(\n",
+        "        return False and not (np.all(bounds < thresholds) and np.all(\n",
         ("tests/test_samc.py::test_batch_engine_golden_digests_tight_ladder",
          "tests/test_samc.py::test_solo_run_golden_digest")),
     Mutant(
@@ -100,6 +100,34 @@ CATALOGUE = [
         '        rng = start.__dict__.setdefault("rng", rng)\n',
         ("tests/test_samle.py::test_one_problem_serves_runs_of_any_length",
          "tests/test_samle.py::test_runs_of_one_problem_stepped_in_turn_match_runs_made_alone")),
+    Mutant(
+        "run-sa-steps-twice",
+        "src/samcmc/sa.py",
+        "            x, h_new = step(theta, x)\n",
+        "            step(theta, x)\n"
+        "            x, h_new = step(theta, x)\n",
+        ("tests/test_samc.py::test_solo_run_golden_digest",
+         "tests/test_samle.py::test_batch_member_matches_solo_run")),
+    Mutant(
+        "samc-batch-resets-nonfinite-half-step",
+        "src/samcmc/samc.py",
+        "                        if bad.any():   # a nonfinite half-step fails the test\n",
+        "                        if False:\n",
+        ("tests/test_samc.py::test_both_engines_raise_on_a_nonfinite_half_step",)),
+    Mutant(
+        "may-truncate-ignores-norm-overflow",
+        "src/samcmc/sa.py",
+        "np.minimum(self.radius, 2.0 ** 511)",
+        "self.radius",
+        ("tests/test_samc.py::test_solo_run_matches_batch_member_where_norms_overflow",)),
+    Mutant(
+        "samle-odd-last-sweep-uses-first-uniform",
+        "src/samcmc/samle.py",
+        "                        if mh_accept(lp_y - lp_x, us[s]):\n",
+        "                        if mh_accept(lp_y - lp_x, us[0]):\n",
+        # flat-d3's density is flat, so its chain accepts whatever u is
+        tuple(f"tests/test_samle.py::test_solo_run_matches_batch_member_across_shapes"
+              f"[{shape}-3]" for shape in ("narrow-box", "toy"))),
 ]
 
 # a result line of pytest's -rA summary: outcome, then the test id
